@@ -2,7 +2,7 @@
 
 Measures interleavings/second on the paper's motivating town-reports
 workload (section 2.3): the ungrouped 7-unit event set enumerated in SJT
-minimal-change order, capped at 1500 candidates.  Four arms:
+minimal-change order, capped at 1500 candidates.  The arms:
 
 * ``seed``      — the baseline engine semantics the repo seeded with:
                   ``legacy_deepcopy()`` restores ``copy.deepcopy``-based
@@ -24,10 +24,6 @@ minimal-change order, capped at 1500 candidates.  Four arms:
 * ``sanitized`` — the cache arm with the differential soundness sanitizer
                   shadow-replaying 25% of cached results from scratch
                   (reports the sanitizer's overhead over plain caching);
-* ``parallel4`` — a 4-worker :class:`ParallelExplorer` sweep with per-worker
-                  prefix caches (reported for completeness: pure in-memory
-                  replays are GIL-bound, so this arm shines only for
-                  subjects that block on I/O or locks);
 * ``proc1/2/4`` — the shared-nothing multiprocess backend
                   (:class:`~repro.core.procpool.ProcessParallelExplorer`)
                   as a 1/2/4-worker scaling sweep with prefix-shard
@@ -70,7 +66,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, List, Tuple
 
-from repro.core.explorers import Explorer, ParallelExplorer
+from repro.core.explorers import Explorer
 from repro.core.interleavings import Interleaving, group_events, interleaving_stream
 from repro.core.procpool import CallableWorkerTask, ProcessParallelExplorer
 from repro.core.pruning import DPORPruner, StateMemoPruner
@@ -92,7 +88,7 @@ MEMO_ASSERTION_VALUE = frozenset({"pothole"})
 
 
 class _FixedStreamExplorer(Explorer):
-    """Feed a pre-enumerated candidate list (for the parallel arm)."""
+    """Feed a pre-enumerated candidate list (the proc arms' parent side)."""
 
     mode = "bench-stream"
 
@@ -147,9 +143,8 @@ def usable_cores() -> int:
 def gc_quiesced():
     """Collect pending garbage, then keep the collector out of the timing.
 
-    The cache arm retains thousands of small trie entries and the parallel
-    arm discards whole worker clusters; without this, collector pauses from
-    one arm land in another arm's measurement.
+    The cache arm retains thousands of small trie entries; without this,
+    collector pauses from one arm land in another arm's measurement.
     """
     gc.collect()
     was_enabled = gc.isenabled()
@@ -256,19 +251,6 @@ def run_arm(name: str, limit: int) -> Tuple[float, dict]:
             "shadow_overhead_s": round(sanitizer.checker.overhead_s, 6),
             "divergences": len(sanitizer.log),
         }
-    elif name == "parallel4":
-        base = _FixedStreamExplorer(events, candidates)
-        parallel = ParallelExplorer(
-            base,
-            workers=4,
-            cluster_factory=seed.build_cluster,
-            prefix_cache=True,
-        )
-        with gc_quiesced():
-            started = time.perf_counter()
-            result = parallel.explore(engine, assertions=(), cap=len(candidates))
-            elapsed = time.perf_counter() - started
-        extra = {"explored": result.explored, "mode": result.mode}
     elif name.startswith("proc"):
         nworkers = int(name[len("proc"):])
         base = _FixedStreamExplorer(events, candidates)
@@ -328,7 +310,6 @@ def main() -> int:
         "memo",
         "traced",
         "sanitized",
-        "parallel4",
         "proc1",
         "proc2",
         "proc4",
@@ -362,7 +343,7 @@ def main() -> int:
             for name in arms
         },
     }
-    workers_by_arm = {"parallel4": 4, "proc1": 1, "proc2": 2, "proc4": 4}
+    workers_by_arm = {"proc1": 1, "proc2": 2, "proc4": 4}
     for name, nworkers in workers_by_arm.items():
         arm = report["arms"][name]
         arm["workers"] = nworkers
@@ -387,9 +368,6 @@ def main() -> int:
     report["sanitizer_overhead_vs_cache"] = round(sanitizer_overhead, 2)
     proc4_vs_cache = best["cache"] / best["proc4"]
     report["proc4_speedup_vs_cache"] = round(proc4_vs_cache, 2)
-    report["proc4_speedup_vs_parallel4"] = round(
-        best["parallel4"] / best["proc4"], 2
-    )
     output = OUTPUT_SMOKE if args.smoke else OUTPUT
     output.write_text(json.dumps(report, indent=2) + "\n")
     print(

@@ -18,7 +18,6 @@ from repro.core.explorers import (
     ERPiExplorer,
     Explorer,
     ExplorationResult,
-    ParallelExplorer,
     RandomExplorer,
 )
 from repro.core.pruning import (
@@ -52,14 +51,6 @@ class RecordedScenario:
     @property
     def event_count(self) -> int:
         return len(self.events)
-
-    def cluster_factory(self) -> Cluster:
-        """A fresh cluster in checkpoint state (for parallel workers).
-
-        ``record_scenario`` checkpoints *before* running the workload, so a
-        newly built cluster is exactly the checkpoint state.
-        """
-        return self.scenario.build_cluster(fixed=self.fixed)
 
 
 def record_scenario(scenario: BugScenario, fixed: bool = False) -> RecordedScenario:
@@ -213,7 +204,6 @@ def hunt(
     seed: int = 0,
     meter: Optional[ResourceMeter] = None,
     workers: int = 1,
-    parallel_backend: str = "process",
     prefix_cache: bool = False,
     memo: bool = False,
     dpor: bool = False,
@@ -227,25 +217,19 @@ def hunt(
     progress: Optional[object] = None,
     journal: Optional[str] = None,
     resume: Optional[str] = None,
-    lease_ttl_s: float = 5.0,
     heartbeat_interval_s: Optional[float] = None,
     max_releases: int = 3,
     checkpoint_every: int = 64,
-    lease_farm: Optional[object] = None,
     batch_size: int = 64,
     steal_margin: Optional[int] = 512,
 ) -> ExplorationResult:
     """Explore until the scenario's invariant breaks (bug reproduced).
 
     ``prefix_cache=True`` enables incremental prefix-reuse replay;
-    ``workers > 1`` shards candidates across parallel worker engines while
-    keeping the reported first violation identical to a serial hunt.
-    ``parallel_backend`` picks the pool flavour: ``"process"`` (default)
-    runs shared-nothing ``multiprocessing`` workers with prefix-shard
-    scheduling (true multicore scaling on pure-CPU subjects), ``"thread"``
-    keeps the in-process thread pool (worth it only when replays block on
-    I/O or locks; also the only backend that feeds per-replay spans into a
-    shared tracer).
+    ``workers > 1`` shards candidates across shared-nothing
+    ``multiprocessing`` workers with prefix-shard scheduling
+    (:class:`~repro.core.procpool.ProcessParallelExplorer`) while keeping
+    the reported first violation identical to a serial hunt.
     ``sanitize`` runs the differential soundness sanitizer alongside the
     hunt: a ``sanitize`` fraction of cache-accelerated replays are
     shadow-replayed from scratch, and every pruner's equivalence classes
@@ -262,18 +246,19 @@ def hunt(
     :class:`~repro.obs.tracer.Tracer`, a
     :class:`~repro.obs.metrics.MetricsRegistry` and a
     :class:`~repro.obs.progress.ProgressLine` to the whole hunt (explorer,
-    replay engine, pruners and — via the engine — the sanitizer).
+    replay engine, pruners and — via the engine — the sanitizer).  A
+    process-backed hunt traces the parent only (``explore`` and the
+    coordinator's spans); its worker processes run untraced.
 
     ``journal`` (a path) upgrades a process-backed hunt to a **coordinated**
-    one (:class:`~repro.core.coordinator.CoordinatedHuntExplorer`): shard
-    leases through the redisim Redlock farm, verdicts checkpointed to the
-    journal as they commit, crashed workers fenced and re-leased.  ``resume``
-    (a path to an existing journal) continues a previously killed hunt: the
-    committed prefix is replayed from the checkpoint, workers skip past it,
-    and the final verdict map is identical to an uninterrupted run's.  The
-    remaining knobs tune the lease protocol (TTL, heartbeat cadence, retry
-    budget, checkpoint stride); ``lease_farm`` injects a pre-built
-    :class:`~repro.redisim.farm.RedisimFarm` (tests partition it).
+    one (:class:`~repro.core.coordinator.CoordinatedHuntExplorer`):
+    verdicts checkpointed to the journal as they commit, crashed workers
+    re-leased (respawned at the commit watermark).  ``resume`` (a path to
+    an existing journal) continues a previously killed hunt: the committed
+    prefix is replayed from the checkpoint, workers skip past it, and the
+    final verdict map is identical to an uninterrupted run's.  The
+    remaining knobs tune the coordinator (heartbeat cadence, re-lease
+    budget, checkpoint stride).
 
     ``batch_size`` caps the workers' adaptive columnar IPC frames;
     ``steal_margin`` sets how far a coordinated worker may trail the lead
@@ -302,7 +287,7 @@ def hunt(
     if replay_timeout_s is not None:
         recorded.engine.executor = SequentialExecutor(timeout_s=replay_timeout_s)
     coordinated = journal is not None or resume is not None
-    use_process = (workers > 1 or coordinated) and parallel_backend == "process"
+    use_process = workers > 1 or coordinated
     explorer = make_explorer(
         recorded, mode, seed=seed, meter=meter, events=schedule,
         memo=memo, dpor=dpor,
@@ -328,8 +313,6 @@ def hunt(
             explorer.audit_pruners.append(
                 sanitizer.grouping_auditor(recorded.events, explorer.spec_groups)
             )
-    if coordinated and parallel_backend != "process":
-        raise ValueError("journal/resume requires the process backend")
     if use_process:
         from repro.core.procpool import ProcessParallelExplorer, ScenarioWorkerTask
 
@@ -364,8 +347,6 @@ def hunt(
                 explorer,
                 task,
                 journal=hunt_journal,
-                farm=lease_farm,
-                lease_ttl_s=lease_ttl_s,
                 heartbeat_interval_s=heartbeat_interval_s,
                 max_releases=max_releases,
                 checkpoint_every=checkpoint_every,
@@ -374,22 +355,6 @@ def hunt(
             )
         else:
             parallel = ProcessParallelExplorer(explorer, task, **pool_kwargs)
-        result = parallel.explore(
-            recorded.engine, assertions, cap=cap, stop_on_violation=stop_on_violation
-        )
-    elif workers > 1:
-        if parallel_backend != "thread":
-            raise ValueError(
-                f"unknown parallel backend {parallel_backend!r}; "
-                "expected 'process' or 'thread'"
-            )
-        parallel = ParallelExplorer(
-            explorer,
-            workers=workers,
-            cluster_factory=recorded.cluster_factory,
-            assertions_factory=recorded.scenario.make_assertions,
-            prefix_cache=prefix_cache,
-        )
         result = parallel.explore(
             recorded.engine, assertions, cap=cap, stop_on_violation=stop_on_violation
         )

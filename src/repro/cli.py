@@ -45,7 +45,7 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
     recorded = record_scenario(sc)
     extras = []
     if args.workers > 1:
-        extras.append(f"{args.workers} {args.parallel_backend} workers")
+        extras.append(f"{args.workers} process workers")
     if args.prefix_cache:
         extras.append("prefix cache")
     if args.memo:
@@ -90,7 +90,6 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
         cap=args.cap,
         seed=args.seed,
         workers=args.workers,
-        parallel_backend=args.parallel_backend,
         prefix_cache=args.prefix_cache,
         memo=args.memo,
         dpor=args.dpor,
@@ -102,7 +101,6 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
         progress=progress,
         journal=args.journal,
         resume=args.resume,
-        lease_ttl_s=args.lease_ttl,
         heartbeat_interval_s=args.heartbeat_interval,
         max_releases=args.max_releases,
         checkpoint_every=args.checkpoint_every,
@@ -129,8 +127,7 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
         )
     coordination = getattr(result, "coordination", None)
     if coordination is not None:
-        parts = [f"hunt {coordination['hunt_id']}",
-                 f"leases via {coordination['backend']}"]
+        parts = [f"hunt {coordination['hunt_id']}"]
         if coordination["resumed_commits"]:
             parts.append(f"resumed {coordination['resumed_commits']} commit(s)")
         if coordination["releases"]:
@@ -141,8 +138,6 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
             parts.append(
                 f"quarantined shard(s) {coordination['abandoned_shards']}"
             )
-        if coordination["degraded"]:
-            parts.append(f"DEGRADED: {coordination['degraded_reason']}")
         parts.append(f"{coordination['checkpoints']} checkpoint(s)")
         print("coordination: " + "; ".join(parts))
     # Exit-code contract: reproduced -> 0 (even when the hunt had to recover
@@ -444,16 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="shard candidate replays across N worker engines (deterministic)",
-    )
-    hunt.add_argument(
-        "--parallel-backend",
-        choices=("thread", "process"),
-        default="process",
-        help="pool flavour for --workers > 1: 'process' (default) runs "
-        "shared-nothing multiprocessing workers with prefix-shard "
-        "scheduling; 'thread' keeps the in-process pool (only worth it "
-        "when replays block on I/O or locks)",
+        help="shard candidate replays across N shared-nothing worker "
+        "processes (deterministic: verdicts match a serial hunt)",
     )
     hunt.add_argument(
         "--prefix-cache",
@@ -519,9 +506,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--journal",
         default=None,
         metavar="PATH",
-        help="run a coordinated hunt: shard leases via the Redlock farm and "
-        "every committed verdict checkpointed to this journal (crashed "
-        "workers are fenced and re-leased; a killed hunt can --resume)",
+        help="run a coordinated hunt: every committed verdict is "
+        "checkpointed to this journal (crashed workers are re-leased; a "
+        "killed hunt can --resume)",
     )
     durability.add_argument(
         "--resume",
@@ -532,19 +519,12 @@ def build_parser() -> argparse.ArgumentParser:
         "past them, and the final verdict map matches an uninterrupted run",
     )
     hunt.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="shard-lease validity window; a worker whose lease expires "
-        "without a heartbeat is declared dead and its shard re-leased",
-    )
-    hunt.add_argument(
         "--heartbeat-interval",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="worker heartbeat cadence (default: lease TTL / 3)",
+        help="coordinated hunts: worker progress-report cadence, which "
+        "bounds work-stealing latency (default: 5/3 s)",
     )
     hunt.add_argument(
         "--max-releases",

@@ -16,8 +16,8 @@ violation (bug reproduced), on the exploration cap (the paper terminates at
   (SJT) enumeration over units, and the applicable post-generation pruners
   filtering equivalent interleavings before they are ever replayed.
 
-:class:`ParallelExplorer` wraps any of the three, sharding the candidate
-stream across a pool of worker replay engines (each with its own cluster)
+:class:`~repro.core.procpool.ProcessParallelExplorer` wraps any of the
+three, sharding the candidate stream across shared-nothing worker processes
 while committing results strictly in candidate order, so the reported first
 violation — and the explored count — are identical to a serial run.
 """
@@ -25,15 +25,11 @@ violation — and the explored count — are identical to a serial run.
 from __future__ import annotations
 
 import abc
-import copy
-import queue
 import random
 import time
 import traceback
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ResourceExhausted
 from repro.core.events import Event
@@ -81,15 +77,15 @@ class ExplorationResult:
     #: the process-backed parallel explorer, whose shard merge is easiest to
     #: audit through exactly this map; serial explorers leave it ``None``.
     verdicts: Optional[Dict[str, str]] = None
-    #: Coordination summary (hunt id, lease backend/events, re-leases,
-    #: degradation, checkpoint count, resumed commits, steals, journal path)
+    #: Coordination summary (hunt id, lease events, re-leases, abandoned
+    #: shards, steals, checkpoint count, resumed commits, journal path)
     #: from a :class:`~repro.core.coordinator.CoordinatedHuntExplorer` run.
     coordination: Optional[Dict[str, object]] = None
     #: Per-worker-slot stats from a process-backed run: stream positions
     #: enumerated (``yields``), owned candidates actually materialised
     #: (``materialized`` — under sharded enumeration a worker flattens only
     #: its own shards), and verdict-pipe bytes shipped (``ipc_bytes``).
-    #: Serial and thread-backed explorers leave it ``None``.
+    #: Serial explorers leave it ``None``.
     worker_stats: Optional[Dict[int, Dict[str, int]]] = None
 
     @property
@@ -498,238 +494,3 @@ class ERPiExplorer(Explorer):
         for name, pstats in self.pipeline.stats().items():
             stats[name] = pstats.pruned
         return stats
-
-
-class ParallelExplorer:
-    """Shard a base explorer's candidate stream across worker engines.
-
-    Each worker owns a full cluster clone plus its own
-    :class:`~repro.core.replay.ReplayEngine` (optionally with a prefix
-    snapshot cache), so replays proceed independently.  Determinism is
-    preserved by construction:
-
-    * candidates are *generated* serially in the caller's thread (so the
-      base explorer's resource charges — and any
-      :class:`~repro.core.errors.ResourceExhausted` crash — happen exactly
-      as they would serially), then dispatched to workers;
-    * outcomes are *committed* strictly in candidate order, so the first
-      violation reported (and the explored count at that point) match a
-      serial run even when a later candidate finishes replaying first.
-
-    ``cluster_factory`` must build a fresh cluster in the same state as the
-    reference engine's checkpoint (the bench harness passes the scenario's
-    ``build_cluster``, which is exactly that state).  Without a factory the
-    reference cluster is deep-copied, which works for pure in-memory
-    subjects but not for those holding OS resources (e.g. the redisim farm
-    behind Roshi holds locks) — pass a factory for those.
-
-    ``assertions_factory`` builds a fresh assertion list per worker; use it
-    when assertions close over per-cluster state.  Stateless assertions can
-    be shared implicitly (the serial ``assertions`` argument is reused).
-    """
-
-    def __init__(
-        self,
-        base: Explorer,
-        workers: int = 4,
-        cluster_factory: Optional[Callable[[], object]] = None,
-        assertions_factory: Optional[Callable[[], Sequence[Assertion]]] = None,
-        prefix_cache: bool = False,
-        backlog_per_worker: int = 2,
-    ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.base = base
-        self.workers = workers
-        self.cluster_factory = cluster_factory
-        self.assertions_factory = assertions_factory
-        self.prefix_cache = prefix_cache
-        self.backlog_per_worker = max(backlog_per_worker, 1)
-        self.mode = f"{base.mode}+p{workers}"
-
-    # ---------------------------------------------------------------- setup
-
-    def _build_engines(
-        self, reference: ReplayEngine, assertions: Sequence[Assertion]
-    ) -> List[Tuple[ReplayEngine, Sequence[Assertion]]]:
-        engines: List[Tuple[ReplayEngine, Sequence[Assertion]]] = []
-        base_metrics = self.base.metrics
-        for index in range(self.workers):
-            if self.cluster_factory is not None:
-                cluster = self.cluster_factory()
-            else:
-                reference.restore()
-                cluster = copy.deepcopy(reference.cluster)
-            engine = ReplayEngine(cluster)
-            if self.prefix_cache:
-                engine.enable_prefix_cache(meter=getattr(self.base, "meter", None))
-            # Share the reference engine's shadow checker (it is thread-safe)
-            # so sanitized runs cross-check worker replays too.
-            engine.sanitizer = reference.sanitizer
-            # The tracer is shared (its append path is locked and its span
-            # stack is thread-local); metrics are per-worker shards so the
-            # unlocked inc path stays race-free, merged back at the end.
-            engine.tracer = self.base.tracer
-            engine.metrics = base_metrics.shard() if base_metrics.enabled else base_metrics
-            engine.worker_id = index
-            engine.checkpoint()
-            worker_assertions = (
-                self.assertions_factory() if self.assertions_factory else assertions
-            )
-            engines.append((engine, worker_assertions))
-        return engines
-
-    # -------------------------------------------------------------- explore
-
-    def explore(
-        self,
-        engine: ReplayEngine,
-        assertions: Sequence[Assertion],
-        cap: int = DEFAULT_CAP,
-        stop_on_violation: bool = True,
-    ) -> ExplorationResult:
-        if self.workers == 1:
-            result = self.base.explore(engine, assertions, cap, stop_on_violation)
-            result.mode = self.mode
-            return result
-        tracer = self.base.tracer
-        metrics = self.base.metrics
-        progress = self.base.progress
-        started = time.perf_counter()
-        explored = 0
-        violating: Optional[InterleavingOutcome] = None
-        crashed = False
-        crash_reason: Optional[str] = None
-        root = tracer.begin("explore") if tracer.enabled else None
-
-        workers = self._build_engines(engine, assertions)
-        self.base.bind_semantic(
-            tuple(worker_engine for worker_engine, _ in workers), assertions
-        )
-        idle: "queue.Queue[Tuple[ReplayEngine, Sequence[Assertion]]]" = queue.Queue()
-        for item in workers:
-            idle.put(item)
-
-        quarantined: List[QuarantinedReplay] = []
-
-        def replay_one(interleaving: Interleaving):
-            worker_engine, worker_assertions = idle.get()
-            try:
-                try:
-                    return worker_engine.replay(interleaving, worker_assertions)
-                except ResourceExhausted:
-                    raise
-                except Exception as exc:
-                    worker_engine.restore()
-                    return self.base._quarantine(interleaving, exc)
-            finally:
-                idle.put((worker_engine, worker_assertions))
-
-        window = self.workers * self.backlog_per_worker
-        candidates = self.base.candidates()
-        exhausted = False
-        pending: "deque" = deque()
-        pool = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="erpi-worker"
-        )
-        try:
-            submitted = 0
-            while True:
-                # Keep the dispatch window full; candidates are pulled (and
-                # charged to the meter) serially, in exploration order.
-                while not exhausted and not crashed and len(pending) < window:
-                    if submitted >= cap:
-                        exhausted = True
-                        break
-                    try:
-                        if tracer.enabled:
-                            gspan = tracer.begin("generate")
-                            try:
-                                interleaving = next(candidates, None)
-                            except BaseException as exc:
-                                tracer.end(gspan, error=type(exc).__name__)
-                                raise
-                            tracer.end(gspan, exhausted=interleaving is None)
-                        else:
-                            interleaving = next(candidates, None)
-                    except ResourceExhausted as exc:
-                        crashed = True
-                        crash_reason = str(exc)
-                        break
-                    if interleaving is None:
-                        exhausted = True
-                        break
-                    pending.append(pool.submit(replay_one, interleaving))
-                    submitted += 1
-                if not pending:
-                    break
-                # Commit strictly in candidate order.
-                try:
-                    outcome = pending.popleft().result()
-                except ResourceExhausted as exc:
-                    # A worker's prefix cache blew the shared budget.
-                    crashed = True
-                    crash_reason = str(exc)
-                    break
-                explored += 1
-                if isinstance(outcome, QuarantinedReplay):
-                    quarantined.append(outcome)
-                    if metrics.enabled:
-                        metrics.inc("interleavings.quarantined")
-                    if progress is not None:
-                        progress.tick(metrics)
-                    continue
-                if metrics.enabled:
-                    metrics.inc("interleavings.replayed")
-                if progress is not None:
-                    progress.tick(metrics)
-                if outcome.violated:
-                    violating = outcome
-                    if stop_on_violation:
-                        break
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
-            # Merge worker metric shards only after the pool has drained, so
-            # no worker thread is still writing into a shard being merged.
-            if metrics.enabled:
-                for worker_engine, _ in workers:
-                    if worker_engine.metrics is not metrics:
-                        metrics.merge(worker_engine.metrics)
-                # Candidates dispatched but never committed (the run stopped
-                # on a violation or crash first) were still generated — they
-                # close the exploration identity as "discarded".
-                discarded = submitted - explored
-                if discarded > 0:
-                    metrics.inc("interleavings.discarded", discarded)
-            self.base._finish_observation(engine, root, explored, mode=self.mode)
-            if metrics.enabled:
-                cache_entries = 0
-                cache_bytes = 0
-                any_cache = False
-                for worker_engine, _ in workers:
-                    cache = worker_engine.prefix_cache
-                    if cache is not None:
-                        any_cache = True
-                        cache_entries += cache.stats.entries
-                        cache_bytes += cache.stats.retained_bytes
-                if any_cache:
-                    metrics.set_gauge("cache.entries", cache_entries)
-                    metrics.set_gauge("cache.retained_bytes", cache_bytes)
-        if violating is not None and stop_on_violation:
-            # The violation pre-empts any crash queued behind it, exactly as
-            # a serial run would have stopped before reaching that point.
-            crashed = False
-            crash_reason = None
-        elapsed = time.perf_counter() - started
-        return ExplorationResult(
-            mode=self.mode,
-            found=violating is not None,
-            explored=explored,
-            elapsed_s=elapsed,
-            crashed=crashed,
-            crash_reason=crash_reason,
-            violating=violating,
-            pruning_stats=self.base._pruning_stats(),
-            quarantined=quarantined,
-            fault_events=sum(1 for event in self.base.events if event.is_fault),
-        )

@@ -1,7 +1,7 @@
 """The hunt journal: a durable, append-only checkpoint of one hunt.
 
-A coordinated hunt (:mod:`repro.core.coordinator`) survives its own
-infrastructure failing — a SIGKILLed worker, a killed parent — because every
+A coordinated hunt (:mod:`repro.core.coordinator`) survives a SIGKILLed
+worker or a killed parent because every
 committed verdict is journaled *before* the hunt moves past it.  The journal
 is JSONL, one record per line:
 
@@ -12,10 +12,8 @@ is JSONL, one record per line:
   verdict (``ok`` / ``violation`` / ``quarantine``), the interleaving key,
   and for violations the assertion messages (so a resumed hunt can report
   the violation without re-replaying it).
-* ``lease``   — shard-lease lifecycle: acquired / renewed-failed / expired /
-  re-leased / released / quarantined, with the slot and attempt number.
-* ``degraded`` — the coordinator fell down its degradation ladder (e.g. the
-  lock farm lost quorum and leases moved to the in-process table).
+* ``lease``   — the worker-slot incarnation log: acquired / expired /
+  re-leased / stolen / quarantined, with the slot and attempt number.
 * ``checkpoint`` — a durability barrier: all records up to it have been
   rewritten to disk via atomic rename, so a torn tail can lose at most the
   lines after the last checkpoint's rename (each append is still
@@ -27,7 +25,8 @@ Crash tolerance on load: a truncated *trailing* line (the writer died
 mid-append) is dropped silently; corruption anywhere else raises
 :class:`JournalError` — a resumed hunt must never silently skip committed
 work, because the resumed verdict map is promised to be bit-for-bit the
-uninterrupted run's.
+uninterrupted run's.  Record types this build does not write (older
+builds also wrote ``degraded`` records) load and are ignored.
 """
 
 from __future__ import annotations
@@ -184,9 +183,6 @@ class HuntJournal:
             {"type": "lease", "slot": slot, "attempt": attempt, "status": status}
         )
 
-    def degraded(self, component: str, reason: str) -> None:
-        self.append({"type": "degraded", "component": component, "reason": reason})
-
     def checkpoint(self, seq: int, committed: int) -> None:
         """A durability barrier: record + full atomic-rename rewrite."""
         self.append({"type": "checkpoint", "seq": seq, "committed": committed})
@@ -257,13 +253,6 @@ class HuntJournal:
         return [
             (record["slot"], record["attempt"], record["status"])
             for record in self._of_type("lease")
-        ]
-
-    @property
-    def degraded_events(self) -> List[Tuple[str, str]]:
-        return [
-            (record["component"], record["reason"])
-            for record in self._of_type("degraded")
         ]
 
     @property

@@ -1,10 +1,9 @@
 """Shared-nothing multiprocess exploration with prefix-shard scheduling.
 
-:class:`~repro.core.explorers.ParallelExplorer` fans replays out over a
-``ThreadPoolExecutor``, which the GIL serialises on pure-CPU subjects (the
-``parallel4`` bench arm runs *slower* than the serial prefix-cache arm).
-:class:`ProcessParallelExplorer` replaces the pool with ``multiprocessing``
-workers that share **nothing**: each worker rebuilds its own cluster,
+:class:`ProcessParallelExplorer` is the one parallel backend: it fans
+replays out over ``multiprocessing`` workers (a thread pool would be
+serialised by the GIL on these pure-CPU subjects) that share **nothing**:
+each worker rebuilds its own cluster,
 :class:`~repro.core.replay.ReplayEngine`, delta-trie prefix cache, pruner
 pipeline and per-worker metrics registries from a picklable
 :class:`WorkerTask` spec, so replays proceed on separate cores with zero
@@ -55,6 +54,12 @@ explicit EOF the parent observes instead of a silent hang — the property
 the crash-recovery coordinator (:mod:`repro.core.coordinator`) builds its
 re-lease protocol on.
 
+:meth:`ProcessParallelExplorer.explore` is the only commit loop.  A plain
+pool ends the hunt on the first worker failure; the coordinator subclass
+keeps the loop and overrides its hooks (resumed-prefix preload, per-commit
+journaling, abandoned-shard commits, failure recovery, the settle test and
+a per-round tick for respawns and steals).
+
 The exploration identity ``generated == pruned + replayed + quarantined +
 discarded`` survives the shard merge: stream-side counters (generated /
 pruned / invalid) are taken from the worker that enumerated furthest (its
@@ -80,7 +85,7 @@ import signal
 import time
 import traceback
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ResourceExhausted
@@ -374,8 +379,9 @@ class _WorkerConfig:
     #: the replay — the parent has their verdicts journaled.
     skip_below: int = 0
     #: Send ``("heartbeat", widx, yields)`` at least this often (seconds)
-    #: so the coordinator can renew this worker's shard lease.  ``None``
-    #: disables heartbeats (plain uncoordinated pools).
+    #: so the coordinator can see how far this worker has enumerated (the
+    #: work-stealing signal).  ``None`` disables heartbeats (plain
+    #: uncoordinated pools).
     heartbeat_interval_s: Optional[float] = None
     #: Which incarnation of this slot the worker is (1 = original, 2+ =
     #: re-leased replacements).  Stamped into the worker's metrics payload
@@ -611,7 +617,7 @@ def _run_worker(runtime: _WorkerRuntime, config: _WorkerConfig,
                 ship(grow=False)
             if heartbeat_s is not None:
                 # Replays dominate wall time; beat after each one so a slow
-                # shard cannot silently outlive its lease.
+                # shard's progress stays current for work stealing.
                 now = time.monotonic()
                 if now - last_beat >= heartbeat_s:
                     ipc_bytes += _send_counted(conn, ("heartbeat", widx, yields))
@@ -682,6 +688,21 @@ def _worker_flush(runtime: _WorkerRuntime, config: _WorkerConfig, yields: int,
 # ------------------------------------------------------------------- parent
 
 
+@dataclass
+class _Ledger:
+    """What the parent has committed so far, in global candidate order."""
+
+    verdicts: Dict[str, str] = field(default_factory=dict)
+    quarantined: List[QuarantinedReplay] = field(default_factory=list)
+    violating: Optional[InterleavingOutcome] = None
+    explored: int = 0
+    #: Replay-time memo hits committed as prunes: they consume a candidate
+    #: index but are never explored.
+    pruned: int = 0
+    #: Candidate indices below this are committed (the watermark).
+    next_index: int = 0
+
+
 class QuietWorkerDetector:
     """Deadline-based dead-worker detection with an injectable clock.
 
@@ -719,10 +740,9 @@ class QuietWorkerDetector:
 class ProcessParallelExplorer:
     """Drive a pool of shared-nothing exploration workers.
 
-    Construction mirrors :class:`~repro.core.explorers.ParallelExplorer`
-    (``base`` supplies the mode label and the observability objects), plus a
-    :class:`WorkerTask` that each worker uses to rebuild the whole stack in
-    its own process.  ``explore`` matches the serial ``Explorer.explore``
+    ``base`` supplies the mode label and the observability objects, and a
+    :class:`WorkerTask` is what each worker uses to rebuild the whole stack
+    in its own process.  ``explore`` matches the serial ``Explorer.explore``
     signature and return type, and its committed results are bit-for-bit
     those of a serial run.
 
@@ -922,28 +942,26 @@ class ProcessParallelExplorer:
         cap: int = DEFAULT_CAP,
         stop_on_violation: bool = True,
     ) -> ExplorationResult:
+        started = time.perf_counter()
+        tracer = self.base.tracer
+        metrics = self.base.metrics
+        progress = self.base.progress
+        ledger = self._ledger = _Ledger()
+        self._preload(ledger)
+        if ledger.violating is not None and stop_on_violation:
+            # A resumed hunt whose journal already holds the bug.
+            return self._result(ledger, started, None, {})
         if not self._started:
             self.prestart(cap=cap, stop_on_violation=stop_on_violation)
         elif cap != self._cap or stop_on_violation != self._stop_on_violation:
             raise ValueError(
                 "prestarted pool was configured with different cap/stop settings"
             )
-        tracer = self.base.tracer
-        metrics = self.base.metrics
-        progress = self.base.progress
-        started = time.perf_counter()
         root = tracer.begin("explore") if tracer.enabled else None
 
         pending: Dict[int, Tuple[int, str, Any]] = {}
         finals: Dict[int, Dict[str, Any]] = {}
         errors: Dict[int, str] = {}
-        verdicts: Dict[str, str] = {}
-        quarantined: List[QuarantinedReplay] = []
-        next_index = 0
-        explored = 0
-        parent_pruned = 0  # replay-time memo hits committed as prunes
-        violating: Optional[InterleavingOutcome] = None
-        crashed = False
         crash_reason: Optional[str] = None
 
         self._go.set()
@@ -959,11 +977,18 @@ class ProcessParallelExplorer:
                     self._dispatch(message, pending, finals, errors)
                     message = self._next_message(timeout=0.0)
                 # Commit strictly in candidate order.
-                while next_index in pending:
-                    index, kind, payload = pending.pop(next_index)
-                    next_index += 1
+                while True:
+                    index = ledger.next_index
+                    record = pending.pop(index, None)
+                    if record is None:
+                        record = self._abandoned_record(index)
+                        if record is None:
+                            break
+                    ledger.next_index += 1
+                    kind, payload = record[1], record[2]
                     if kind == "crashed":
-                        crashed = True
+                        # A generation-side budget crash is deterministic:
+                        # every incarnation hits it at the same position.
                         crash_reason = payload
                         done = True
                         break
@@ -972,66 +997,89 @@ class ProcessParallelExplorer:
                         # like a stream-time prune (not explored, no verdict
                         # entry — matching a serial hunt, where the pipeline
                         # drops the candidate before it is ever yielded).
-                        parent_pruned += 1
+                        ledger.pruned += 1
+                        self._on_commit(index, "pruned", "|".join(payload))
                         if metrics.enabled:
                             metrics.inc("interleavings.pruned")
                             metrics.inc("pruned.state_memo")
-                        if progress is not None:
-                            progress.tick(metrics)
-                        continue
-                    explored += 1
-                    if kind == "quarantine":
-                        quarantined.append(payload)
-                        verdicts["|".join(payload.interleaving)] = "quarantine"
+                    elif kind == "quarantine":
+                        ledger.explored += 1
+                        il_key = "|".join(payload.interleaving)
+                        ledger.quarantined.append(payload)
+                        ledger.verdicts[il_key] = "quarantine"
+                        self._on_commit(
+                            index, "quarantine", il_key,
+                            error_type=payload.error_type,
+                        )
                         if metrics.enabled:
                             metrics.inc("interleavings.quarantined")
-                        if progress is not None:
-                            progress.tick(metrics)
-                        continue
-                    if metrics.enabled:
-                        metrics.inc("interleavings.replayed")
+                    elif kind == "ok":
+                        ledger.explored += 1
+                        il_key = "|".join(payload)
+                        ledger.verdicts[il_key] = "ok"
+                        self._on_commit(index, "ok", il_key)
+                        if metrics.enabled:
+                            metrics.inc("interleavings.replayed")
+                    else:  # violation
+                        ledger.explored += 1
+                        il_ids, outcome = payload
+                        if isinstance(outcome, (bytes, bytearray)):
+                            # Columnar frames ship the outcome as pickle
+                            # bytes; only a *committed* violation pays
+                            # deserialisation.
+                            outcome = pickle.loads(outcome)
+                        il_key = "|".join(il_ids)
+                        ledger.verdicts[il_key] = "violation"
+                        ledger.violating = outcome
+                        self._on_commit(
+                            index, "violation", il_key,
+                            messages=tuple(outcome.violations),
+                        )
+                        if metrics.enabled:
+                            metrics.inc("interleavings.replayed")
+                        done = stop_on_violation
                     if progress is not None:
                         progress.tick(metrics)
-                    if kind == "ok":
-                        verdicts["|".join(payload)] = "ok"
-                        continue
-                    il_ids, outcome = payload
-                    verdicts["|".join(il_ids)] = "violation"
-                    if isinstance(outcome, (bytes, bytearray)):
-                        # Columnar frames ship the outcome as pickle bytes;
-                        # only a *committed* violation pays deserialisation.
-                        outcome = pickle.loads(outcome)
-                    violating = outcome
-                    if stop_on_violation:
-                        done = True
+                    if done:
                         break
                 if done:
                     break
-                if errors:
-                    widx, text = sorted(errors.items())[0]
-                    quarantined.append(self._worker_crash_quarantine(widx, text))
-                    crashed = True
-                    crash_reason = f"worker {widx} crashed"
+                for widx in sorted(errors):
+                    text = errors.pop(widx)
+                    if not self._recover(widx, f"worker {widx} raised:\n{text}"):
+                        ledger.quarantined.append(
+                            self._worker_crash_quarantine(widx, text)
+                        )
+                        crash_reason = f"worker {widx} crashed"
+                        done = True
+                        break
+                if done or self._settled(finals):
+                    # Every batch precedes its worker's final on the pipe,
+                    # so once the pool has settled nothing more can arrive:
+                    # anything still pending is beyond a worker's
+                    # (legitimate) stopping point.
                     break
-                if len(finals) + len(errors) >= self.workers:
-                    # Every batch precedes its worker's final on the queue,
-                    # so nothing more can arrive: anything still pending is
-                    # beyond a worker's (legitimate) stopping point.
-                    break
+                self._tick(finals, idle)
                 if not idle:
                     detector.activity()
-                else:
-                    widx = self._dead_worker_index(finals, errors)
-                    if widx is None:
-                        detector.clear()
-                    elif detector.suspect(widx):
+                    continue
+                widx = self._dead_worker_index(finals)
+                if widx is None:
+                    detector.clear()
+                elif detector.suspect(widx):
+                    detector.clear()
+                    exitcode = self._procs[widx].exitcode
+                    if not self._recover(
+                        widx,
+                        f"worker {widx} died without reporting "
+                        f"(exit code {exitcode})",
+                    ):
                         crash = self._worker_crash_quarantine(
                             widx,
                             "(no traceback: the process died "
                             "without reporting)",
                         )
-                        quarantined.append(crash)
-                        crashed = True
+                        ledger.quarantined.append(crash)
                         crash_reason = crash.message
                         break
         finally:
@@ -1039,43 +1087,81 @@ class ProcessParallelExplorer:
             if metrics.enabled:
                 # Committed = explored + parent-side prunes: both consume a
                 # candidate index, so both come out of the discard residue.
-                self._merge_metrics(metrics, finals, explored + parent_pruned)
-            self.base._finish_observation(engine, root, explored, mode=self.mode)
+                self._merge_metrics(
+                    metrics, finals, ledger.explored + ledger.pruned
+                )
+            self.base._finish_observation(
+                engine, root, ledger.explored, mode=self.mode
+            )
             if metrics.enabled:
                 self._merge_cache_gauges(metrics, finals)
         self._merge_sanitizer(finals)
-        if violating is None and not crashed:
+        if ledger.violating is None and crash_reason is None:
             # A generation-side budget crash aborts a serial run too; any
             # worker that hit it reports the identical stream position.
             for flush in finals.values():
                 if flush["crash_reason"]:
-                    crashed = True
                     crash_reason = flush["crash_reason"]
                     break
-        if violating is not None and stop_on_violation:
-            crashed = False
+        if ledger.violating is not None and stop_on_violation:
             crash_reason = None
+        return self._result(ledger, started, crash_reason, finals)
+
+    def _result(
+        self,
+        ledger: "_Ledger",
+        started: float,
+        crash_reason: Optional[str],
+        finals: Dict[int, Dict[str, Any]],
+    ) -> ExplorationResult:
         canonical = self._canonical_flush(finals)
         pruning_stats = dict(canonical["pruning_stats"]) if canonical else {}
-        if parent_pruned:
+        if ledger.pruned:
             pruning_stats["state_memo"] = (
-                pruning_stats.get("state_memo", 0) + parent_pruned
+                pruning_stats.get("state_memo", 0) + ledger.pruned
             )
-        elapsed = time.perf_counter() - started
         return ExplorationResult(
             mode=self.mode,
-            found=violating is not None,
-            explored=explored,
-            elapsed_s=elapsed,
-            crashed=crashed,
+            found=ledger.violating is not None,
+            explored=ledger.explored,
+            elapsed_s=time.perf_counter() - started,
+            crashed=crash_reason is not None,
             crash_reason=crash_reason,
-            violating=violating,
+            violating=ledger.violating,
             pruning_stats=pruning_stats,
-            quarantined=quarantined,
+            quarantined=ledger.quarantined,
             fault_events=canonical["fault_events"] if canonical else 0,
-            verdicts=verdicts,
+            verdicts=ledger.verdicts,
             worker_stats=self._worker_stats(finals),
         )
+
+    # ---------------------------------------------------------------- hooks
+    #
+    # A plain pool commits, ends the hunt on the first worker failure and
+    # stops once every worker has flushed.  The coordinator
+    # (:mod:`repro.core.coordinator`) overrides these to journal commits,
+    # respawn or abandon failed slots, and steal from trailing ones.
+
+    def _preload(self, ledger: "_Ledger") -> None:
+        """Fill ``ledger`` with verdicts committed before this run."""
+
+    def _on_commit(self, index: int, verdict: str, il_key: str, **fields) -> None:
+        """Called once per committed candidate index, in order."""
+
+    def _abandoned_record(self, index: int) -> Optional[Tuple[int, str, Any]]:
+        """A record the parent commits itself for ``index`` (no worker will)."""
+        return None
+
+    def _recover(self, widx: int, reason: str) -> bool:
+        """Handle a failed worker slot; False ends the hunt ``crashed``."""
+        return False
+
+    def _settled(self, finals: Dict[int, Dict[str, Any]]) -> bool:
+        """True once no further frame can arrive."""
+        return len(finals) >= self.workers
+
+    def _tick(self, finals: Dict[int, Dict[str, Any]], idle: bool) -> None:
+        """Once per poll round, after commits and failure handling."""
 
     @staticmethod
     def _worker_stats(finals: Dict[int, Dict[str, Any]]) -> Dict[int, Dict[str, int]]:
@@ -1124,11 +1210,6 @@ class ProcessParallelExplorer:
                 # setdefault, not assignment: a re-leased replacement worker
                 # re-delivers results its predecessor already shipped, and
                 # replays are deterministic, so first delivery wins.
-                pending.setdefault(record[0], record)
-        elif kind == "batch":
-            # Legacy row-oriented frames (nothing in-tree sends these any
-            # more, but custom worker mains may).
-            for record in message[2]:
                 pending.setdefault(record[0], record)
         elif kind == "final":
             self._note_final(finals, message[1], message[2])
@@ -1192,7 +1273,7 @@ class ProcessParallelExplorer:
         finals[widx] = flush
 
     def _on_heartbeat(self, widx: int, yields: int) -> None:
-        """Hook for lease-renewing subclasses; a plain pool ignores beats."""
+        """Hook for work-stealing subclasses; a plain pool ignores beats."""
 
     def _on_ready(self, widx: int) -> None:
         """Hook for re-leasing subclasses; a plain pool never respawns."""
@@ -1209,12 +1290,12 @@ class ProcessParallelExplorer:
             fault_plan=self.base.fault_plan_description,
         )
 
-    def _dead_worker_index(self, finals, errors) -> Optional[int]:
+    def _dead_worker_index(self, finals) -> Optional[int]:
         # EOF on a slot's pipe is definitive death — the kernel closed the
         # only write fd — and every frame the worker did send was already
         # drained before the EOFError surfaced (pipes deliver in order).
         for widx in sorted(self._eof):
-            if widx not in finals and widx not in errors:
+            if widx not in finals:
                 return widx
         return None
 

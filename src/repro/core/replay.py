@@ -650,11 +650,9 @@ class ReplayEngine:
         #: recent replay.
         self.last_suppressed_count: int = 0
         #: Observability (see repro.obs): the shared null objects unless an
-        #: observed run swaps real ones in.  ``worker_id`` labels replay
-        #: spans from ParallelExplorer worker engines.
+        #: observed run swaps real ones in.
         self.tracer = NULL_TRACER
         self.metrics = NULL_METRICS
-        self.worker_id: Optional[int] = None
         self._last_was_cached = False
         # Live-state version tracking: maps replica id -> the _Snap whose RDL
         # state the replica currently holds (None/missing = unknown/dirty).
@@ -784,15 +782,7 @@ class ReplayEngine:
         if metrics.enabled:
             self._record_replay_metrics(metrics, outcome, cache_state)
         if span is not None:
-            if self.worker_id is not None:
-                tracer.end(
-                    span,
-                    cache=cache_state,
-                    violated=outcome.violated,
-                    worker=self.worker_id,
-                )
-            else:
-                tracer.end(span, cache=cache_state, violated=outcome.violated)
+            tracer.end(span, cache=cache_state, violated=outcome.violated)
         return outcome
 
     def _record_replay_metrics(

@@ -72,7 +72,6 @@ _DECLS = """\
 // .decl span(id: number, parent: number, kind: symbol, duration_us: number)
 // .decl metric(name: symbol, value: number)
 // .decl lease(slot: number, attempt: number, status: symbol)
-// .decl degraded(component: symbol, reason: symbol)
 // .decl memo(digest: symbol, il: number)
 // .decl footprint(il: number, event: symbol, mode: symbol, key: symbol)
 // .output bad
@@ -101,7 +100,6 @@ def export_program(
         "span",
         "metric",
         "lease",
-        "degraded",
         "memo",
         "footprint",
     ):

@@ -20,11 +20,9 @@ Schema (all facts):
   a :class:`~repro.obs.tracer.Tracer`.
 * ``metric(name, value)`` — observability counter/gauge totals mirrored
   from a :class:`~repro.obs.metrics.MetricsRegistry`.
-* ``lease(slot, attempt, status)`` — shard-lease lifecycle events
-  (acquired / renewed / expired / re-leased / re-acquired / quarantined)
-  from a coordinated hunt (:mod:`repro.core.coordinator`).
-* ``degraded(component, reason)`` — the coordinator fell down its
-  degradation ladder (e.g. lock farm lost quorum, leases moved in-process).
+* ``lease(slot, attempt, status)`` — the worker-slot incarnation log
+  (acquired / expired / re-leased / stolen / quarantined) of a coordinated
+  hunt (:mod:`repro.core.coordinator`).
 * ``memo(digest, il_id)`` — a state-memo prune: the canonical cluster
   digest whose memoized suffix outcome short-circuited interleaving
   ``il_id`` (:class:`~repro.core.pruning.semantic.StateMemoPruner`).
@@ -191,18 +189,11 @@ class InterleavingStore:
     # --------------------------------------------------------- coordination
 
     def persist_lease(self, slot: int, attempt: int, status: str) -> None:
-        """Record one shard-lease lifecycle event as a queryable fact."""
+        """Record one worker-slot incarnation event as a queryable fact."""
         self.db.add("lease", slot, attempt, status)
 
     def leases(self) -> List[Tuple[int, int, str]]:
         return sorted(self.db.rows("lease"))
-
-    def persist_degraded(self, component: str, reason: str) -> None:
-        """Record one degradation-ladder step as a queryable fact."""
-        self.db.add("degraded", component, reason)
-
-    def degradations(self) -> List[Tuple[str, str]]:
-        return sorted(self.db.rows("degraded"))
 
     # ---------------------------------------------------- semantic pruning
 

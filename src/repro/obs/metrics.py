@@ -25,15 +25,16 @@ self-consistency assertion)::
     generated == pruned + replayed + quarantined + discarded
 
 where ``discarded`` counts candidates that were generated (and possibly
-dispatched to a parallel worker) but never committed because the run
-stopped first.
+replayed by a worker process) but never committed because the run stopped
+first.
 
 Concurrency model: one registry instance is **not** locked on the hot
-``inc``/``observe`` path — each writer thread owns its own registry.
-:class:`~repro.core.explorers.ParallelExplorer` gives every worker engine a
-:meth:`shard` and :meth:`merge`\\ s the shards back into the main registry
-when the run commits; ``merge`` itself is locked, so late worker writes
-cannot corrupt the totals.
+``inc``/``observe`` path — each writer owns its own registry.  Process
+workers of :class:`~repro.core.procpool.ProcessParallelExplorer` keep
+private registries and ship them as :meth:`to_payload` snapshots, which
+the parent folds in with :meth:`merge_payload` (idempotent per payload
+epoch).  In-process writers can use :meth:`shard` and :meth:`merge`;
+``merge`` itself is locked, so late writes cannot corrupt the totals.
 """
 
 from __future__ import annotations

@@ -8,9 +8,11 @@ and ``replay:fresh`` (one interleaving executed against the cluster),
 ``sanitize`` (the differential class sweep), ``quarantine`` (capturing a
 blown-up replay) and ``fault-compile`` (compiling a FaultPlan into the
 schedule).  Spans nest through a per-thread stack, so a ``replay`` emitted
-inside an ``explore`` records that parent automatically — including from
-:class:`~repro.core.explorers.ParallelExplorer` worker threads, which each
-get their own stack.
+inside an ``explore`` records that parent automatically, and a span from
+another thread opens its own stack.  A process-backed hunt
+(:class:`~repro.core.procpool.ProcessParallelExplorer`) records the
+parent's spans only — ``explore`` plus the coordinator's ``respawn`` and
+``checkpoint`` spans; its worker processes run untraced.
 
 Zero dependencies, and cheap enough to leave on: the hot path is
 :meth:`Tracer.begin` / :meth:`Tracer.end` (no generator-based context

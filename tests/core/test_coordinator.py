@@ -1,8 +1,8 @@
-"""Checkpointed, lease-based hunt coordination (crash recovery + resume).
+"""Checkpointed hunt coordination (crash recovery + resume).
 
 The coordinator's whole contract is *recovery without divergence*: whatever
-dies — a SIGKILLed worker mid-batch, the lock farm's quorum, or the hunt
-parent itself — the final verdict map must be bit-for-bit the map an
+dies — a SIGKILLed worker mid-batch or the hunt parent itself — the final
+verdict map must be bit-for-bit the map an
 uninterrupted run commits, and the exploration identity
 ``generated == pruned + replayed + quarantined + discarded`` must survive
 the recovery.  These tests kill things and assert exactly that.
@@ -17,17 +17,12 @@ import pytest
 
 from repro.bench.harness import hunt, make_explorer, record_scenario
 from repro.bugs.registry import scenario
-from repro.core.coordinator import (
-    CoordinatedHuntExplorer,
-    LocalLeaseTable,
-    RedlockLeaseTable,
-)
+from repro.core.coordinator import CoordinatedHuntExplorer
 from repro.core.journal import HuntJournal, JournalError
 from repro.core.procpool import CallableWorkerTask, ProcessParallelExplorer
 from repro.core.session import persist_exploration
 from repro.datalog.store import InterleavingStore
 from repro.obs.metrics import MetricsRegistry
-from repro.redisim.farm import RedisimFarm
 
 CAP = 60
 NAME = "Roshi-1"
@@ -94,14 +89,14 @@ def baseline():
     )
 
 
-def coordinated(task, journal=None, farm=None, metrics=None, **kwargs):
+def coordinated(task, journal=None, metrics=None, **kwargs):
     recorded = record_scenario(scenario(NAME))
     explorer = make_explorer(recorded, "erpi")
     if metrics is not None:
         explorer.metrics = metrics
         recorded.engine.metrics = metrics
     pool = CoordinatedHuntExplorer(
-        explorer, task, workers=2, journal=journal, farm=farm,
+        explorer, task, workers=2, journal=journal,
         prefix_cache=True, seed=0, **kwargs,
     )
     result = pool.explore(
@@ -140,26 +135,11 @@ class TestHappyPath:
         assert result.explored == baseline.explored
         assert result.found == baseline.found
         assert metrics.consistent()
-        assert result.coordination["backend"] == "redlock"
-        assert not result.coordination["degraded"]
         loaded = HuntJournal.load(path)
         assert loaded.is_final
         assert loaded.final_record["found"] == baseline.found
         assert len(loaded.commits) == CAP
         assert loaded.checkpoints >= 3
-
-    def test_lease_table_backends_share_the_interface(self):
-        farm = RedisimFarm(3)
-        for table in (
-            RedlockLeaseTable(farm, "t", ttl_s=5.0),
-            LocalLeaseTable(ttl_s=5.0),
-        ):
-            assert table.acquire(0)
-            assert table.held(0)
-            assert table.renew(0)
-            table.release(0)
-            assert not table.held(0)
-            assert table.reachable()
 
 
 class TestCrashRecovery:
@@ -176,7 +156,7 @@ class TestCrashRecovery:
         result, _ = coordinated(
             CallableWorkerTask(kill_once_stack, (sentinel, 10)),
             journal=journal, metrics=metrics,
-            lease_ttl_s=1.0, heartbeat_interval_s=0.1,
+            heartbeat_interval_s=0.1,
             backoff_base_s=0.01, batch_size=8, checkpoint_every=16,
         )
         assert os.path.exists(sentinel), "worker 1 never reached the kill point"
@@ -207,7 +187,7 @@ class TestCrashRecovery:
         result, _ = coordinated(
             CallableWorkerTask(kill_once_stack, (sentinel, 10)),
             journal=journal, metrics=metrics,
-            lease_ttl_s=1.0, heartbeat_interval_s=0.1,
+            heartbeat_interval_s=0.1,
             backoff_base_s=0.01, batch_size=8, checkpoint_every=16,
         )
         assert result.explored == CAP
@@ -224,7 +204,7 @@ class TestCrashRecovery:
         result, _ = coordinated(
             CallableWorkerTask(kill_always_stack, (10,)),
             journal=journal, metrics=metrics,
-            lease_ttl_s=1.0, heartbeat_interval_s=0.1,
+            heartbeat_interval_s=0.1,
             backoff_base_s=0.01, max_releases=1, batch_size=8,
         )
         assert result.coordination["abandoned_shards"] == [1]
@@ -243,20 +223,6 @@ class TestCrashRecovery:
         )
         assert kept + len(abandoned) == CAP
         assert metrics.counter("coordinator.shards.quarantined") == 1
-        assert metrics.consistent()
-
-    def test_unreachable_lock_farm_degrades_to_local_leases(self, baseline):
-        farm = RedisimFarm(3)
-        farm.partition([0, 1])  # no quorum before the hunt starts
-        metrics = MetricsRegistry()
-        result, _ = coordinated(
-            CallableWorkerTask(plain_stack), farm=farm, metrics=metrics,
-        )
-        assert result.coordination["degraded"]
-        assert result.coordination["backend"] == "local"
-        assert "quorum" in result.coordination["degraded_reason"]
-        assert result.verdicts == baseline.verdicts
-        assert metrics.counter("coordinator.degraded") == 1
         assert metrics.consistent()
 
 
@@ -283,6 +249,59 @@ class TestResume:
         assert result.coordination["resumed_commits"] == 20
         assert metrics.counter("coordinator.commits.resumed") == 20
         assert metrics.consistent()
+        final = HuntJournal.load(path)
+        assert final.is_final
+        assert len(final.commits) == CAP
+
+    def test_resumes_a_journal_written_by_an_older_build(
+        self, baseline, tmp_path
+    ):
+        """Journal compatibility: a journal in the format of builds that
+        leased worker slots through a lock farm — a ``degraded`` record and
+        a ``re-acquired`` lease status, neither written any more — torn
+        mid-hunt, still loads and resumes to the uninterrupted verdict map."""
+        path = str(tmp_path / "older.jsonl")
+        records = [
+            {
+                "type": "header", "version": 1,
+                "hunt": {
+                    "scenario": NAME, "mode": "erpi", "seed": 0, "cap": CAP,
+                    "workers": 2, "faults": False, "fixed": False,
+                    "prefix_cache": False, "memo": False, "dpor": False,
+                    "hunt_id": "0ld0ld0ld0ld",
+                },
+            },
+            {"type": "lease", "slot": 0, "attempt": 1, "status": "acquired"},
+            {"type": "lease", "slot": 1, "attempt": 1, "status": "acquired"},
+            {"type": "degraded", "component": "lock-farm",
+             "reason": "lock farm lost quorum during renewal"},
+            {"type": "lease", "slot": 1, "attempt": 1, "status": "re-acquired"},
+        ]
+        kept = 25
+        for index, (il_key, verdict) in enumerate(
+            list(baseline.verdicts.items())[:kept]
+        ):
+            record = {"type": "commit", "index": index, "verdict": verdict,
+                      "il": il_key}
+            if verdict == "violation":
+                record["messages"] = ["(violation journaled by an older build)"]
+            records.append(record)
+            if index == 15:
+                records.append({"type": "checkpoint", "seq": 1, "committed": 16})
+        with open(path, "w") as handle:
+            for record in records:
+                handle.write(json.dumps(record, sort_keys=True) + "\n")
+            handle.write('{"type": "commit", "index": %d, "verd' % kept)
+        loaded = HuntJournal.load(path)
+        assert len(loaded.commits) == kept
+        assert (1, 1, "re-acquired") in loaded.lease_events
+        result = hunt(
+            record_scenario(scenario(NAME)), "erpi", cap=CAP, workers=2,
+            resume=path, stop_on_violation=False,
+        )
+        assert result.verdicts == baseline.verdicts
+        assert result.explored == baseline.explored
+        assert result.coordination["resumed_commits"] == kept
         final = HuntJournal.load(path)
         assert final.is_final
         assert len(final.commits) == CAP
@@ -335,24 +354,17 @@ class TestResume:
 
 class TestPersistence:
     def test_lease_and_degraded_facts_land_in_the_store(self, tmp_path):
-        farm = RedisimFarm(3)
-        farm.partition([0, 1])
-        result, _ = coordinated(CallableWorkerTask(plain_stack), farm=farm)
+        result, _ = coordinated(CallableWorkerTask(plain_stack))
         store = InterleavingStore()
         persist_exploration(store, result)
         leases = store.leases()
         assert (0, 1, "acquired") in leases
         assert (1, 1, "acquired") in leases
-        degradations = store.degradations()
-        assert len(degradations) == 1
-        assert degradations[0][0] == "lock-farm"
-        assert "quorum" in degradations[0][1]
         # The export renders them alongside the verdict facts.
         from repro.datalog.export import export_program
 
         program = export_program(store)
         assert 'lease(0, 1, "acquired").' in program
-        assert "degraded(" in program
 
 
 class TestCLIExitCodes:

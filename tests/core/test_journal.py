@@ -148,13 +148,11 @@ class TestCheckpoint:
         journal.lease(1, 1, "acquired")
         journal.lease(1, 1, "expired")
         journal.lease(1, 2, "re-leased")
-        journal.degraded("lock-farm", "no quorum")
         journal.close()
         loaded = HuntJournal.load(journal.path)
         assert loaded.lease_events == [
             (1, 1, "acquired"), (1, 1, "expired"), (1, 2, "re-leased")
         ]
-        assert loaded.degraded_events == [("lock-farm", "no quorum")]
 
 
 class TestJournaledOutcome:

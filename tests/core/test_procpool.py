@@ -87,7 +87,6 @@ class TestShardMergeEquivalence:
                 faults=True,
                 cap=200,
                 workers=workers,
-                parallel_backend="process",
                 prefix_cache=True,
             )
             assert parallel.found == serial.found

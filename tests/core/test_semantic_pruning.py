@@ -268,13 +268,11 @@ class TestSemanticHunts:
         assert result.found
         assert result.sanitizer is not None and result.sanitizer.ok
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_backends_find_the_same_violation(self, backend):
         kwargs = {}
-        if backend == "thread":
-            kwargs = {"workers": 2, "parallel_backend": "thread"}
-        elif backend == "process":
-            kwargs = {"workers": 2, "parallel_backend": "process"}
+        if backend == "process":
+            kwargs = {"workers": 2}
         result = hunt(
             record_scenario(scenario("Roshi-1")), "erpi", cap=120,
             memo=True, dpor=True, **kwargs,
@@ -292,7 +290,7 @@ class TestSemanticHunts:
         for workers in (2, 3):
             results[workers] = hunt(
                 record_scenario(scenario("Roshi-1")), "erpi", cap=120,
-                workers=workers, parallel_backend="process",
+                workers=workers,
                 memo=True, dpor=True, stop_on_violation=False,
             )
         assert results[2].verdicts == results[3].verdicts

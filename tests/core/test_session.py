@@ -282,7 +282,6 @@ class TestPersistExploration:
             record_scenario(scenario("Roshi-1")),
             "erpi",
             workers=2,
-            parallel_backend="process",
             prefix_cache=True,
             metrics=metrics,
         )

@@ -197,7 +197,6 @@ class TestWorkStealing:
             workers=2,
             prefix_cache=True,
             seed=0,
-            lease_ttl_s=2.0,
             heartbeat_interval_s=0.05,
             backoff_base_s=0.01,
             steal_margin=steal_margin,
@@ -235,3 +234,26 @@ class TestWorkStealing:
             slot for slot, _, status in pool._lease_log if status == "stolen"
         ]
         assert len(stolen_events) == len(set(stolen_events))
+
+    def test_steal_is_not_reported_as_a_re_lease(self, capsys):
+        """Regression: a stolen slot's replacement used to be logged (and
+        counted, and printed by the CLI) as a re-lease although no worker
+        died.  Only respawns after a worker death are re-leases."""
+        import unittest.mock as mock
+
+        from repro import cli
+
+        stolen, pool = self.steal_hunt(steal_margin=8, throttle={1: 0.02})
+        assert stolen.coordination["steals"] >= 1
+        assert stolen.coordination["releases"] == 0
+        statuses = [status for _, _, status in pool._lease_log]
+        assert "stolen" in statuses
+        assert "re-leased" not in statuses
+        with mock.patch("repro.bench.harness.hunt", return_value=stolen):
+            cli.main(["hunt", "Roshi-1", "--workers", "2", "--cap", "60"])
+        line = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("coordination:")
+        )
+        assert "stole" in line
+        assert "re-leased" not in line
