@@ -101,11 +101,7 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
         progress=progress,
         journal=args.journal,
         resume=args.resume,
-        heartbeat_interval_s=args.heartbeat_interval,
-        max_releases=args.max_releases,
         checkpoint_every=args.checkpoint_every,
-        batch_size=args.batch_size,
-        steal_margin=args.steal_margin,
     )
     if tracer is not None:
         tracer.write_jsonl(args.trace)
@@ -215,17 +211,14 @@ def _cmd_table2(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig8a(args: argparse.Namespace) -> int:
-    from repro.bench.harness import hunt, record_scenario
+    from repro.bench.harness import hunt_all_modes
     from repro.bench.reporting import aggregate_ratios, format_fig8a_row
     from repro.bugs import all_scenarios
 
     per_bug = {}
     for sc in all_scenarios():
-        results = {}
-        for mode in ("erpi", "dfs", "rand"):
-            results[mode] = hunt(record_scenario(sc), mode, cap=args.cap)
-        per_bug[sc.name] = results
-        print(format_fig8a_row(sc.name, results))
+        per_bug[sc.name] = hunt_all_modes(sc, cap=args.cap)
+        print(format_fig8a_row(sc.name, per_bug[sc.name]))
     print()
     print(aggregate_ratios(per_bug).summary())
     return 0
@@ -519,46 +512,11 @@ def build_parser() -> argparse.ArgumentParser:
         "past them, and the final verdict map matches an uninterrupted run",
     )
     hunt.add_argument(
-        "--heartbeat-interval",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="coordinated hunts: worker progress-report cadence, which "
-        "bounds work-stealing latency (default: 5/3 s)",
-    )
-    hunt.add_argument(
-        "--max-releases",
-        type=int,
-        default=3,
-        metavar="N",
-        help="re-lease budget per shard; past it the shard is quarantined "
-        "(the hunt finishes without it) instead of retrying forever",
-    )
-    hunt.add_argument(
         "--checkpoint-every",
         type=int,
         default=64,
         metavar="N",
         help="journal durability-barrier stride, in committed verdicts",
-    )
-    hunt.add_argument(
-        "--batch-size",
-        type=int,
-        default=64,
-        metavar="N",
-        help="cap on the workers' adaptive columnar IPC frames (frames "
-        "start small, double under load up to this, and flush early on an "
-        "idle deadline)",
-    )
-    hunt.add_argument(
-        "--steal-margin",
-        type=int,
-        default=512,
-        metavar="N",
-        help="coordinated hunts only: once the fastest shard finishes, a "
-        "worker trailing the lead by N stream positions has its shard "
-        "suffix stolen (fenced and respawned at the commit watermark); "
-        "0 disables stealing",
     )
 
     table1 = sub.add_parser("table1", help="regenerate Table 1")

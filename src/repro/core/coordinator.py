@@ -49,10 +49,10 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.core.errors import ResourceExhausted
 from repro.core.explorers import DEFAULT_CAP, ExplorationResult, Explorer
 from repro.core.journal import HuntJournal, JournaledOutcome
+from repro.core.pipeline import WorkerTask, arm
 from repro.core.procpool import (
     PrefixShardRouter,
     ProcessParallelExplorer,
-    WorkerTask,
     _Ledger,
     _stream_width,
     auto_prefix_len,
@@ -376,14 +376,10 @@ class CoordinatedHuntExplorer(ProcessParallelExplorer):
         if self._owner_candidates is not None:
             return
         explorer, engine, assertions, _audit = self.task.build()
-        # The owner stream must make byte-identical pruning decisions to the
-        # workers' streams, so its pruners are bound the same way (the DPOR
-        # pruner is a deterministic function of the schedule; the replay
-        # memo never participates in stream-time pruning).
-        explorer.bind_semantic((engine,), assertions)
         if self.base.metrics.enabled:
             self._owner_metrics = MetricsRegistry()
-            explorer.metrics = self._owner_metrics
+        # Armed like a worker's stream, so its pruning decisions match theirs.
+        arm(explorer, engine, assertions, metrics=self._owner_metrics)
         prefix_len = self.prefix_len or auto_prefix_len(
             _stream_width(explorer), self.workers
         )

@@ -29,7 +29,7 @@ import random
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ResourceExhausted
 from repro.core.events import Event
@@ -159,7 +159,10 @@ class Explorer(abc.ABC):
         assertions: Sequence[Assertion],
         cap: int = DEFAULT_CAP,
         stop_on_violation: bool = True,
+        on_replay: Optional[Callable[..., None]] = None,
     ) -> ExplorationResult:
+        """``on_replay(interleaving, outcome_or_quarantine)``, when given,
+        sees every replay's outcome (or its :class:`QuarantinedReplay`)."""
         tracer = self.tracer
         metrics = self.metrics
         progress = self.progress
@@ -211,12 +214,16 @@ class Explorer(abc.ABC):
                     if progress is not None:
                         progress.tick(metrics)
                     engine.restore()
+                    if on_replay is not None:
+                        on_replay(interleaving, quarantined[-1])
                     continue
                 explored += 1
                 if metrics.enabled:
                     metrics.inc("interleavings.replayed")
                 if progress is not None:
                     progress.tick(metrics)
+                if on_replay is not None:
+                    on_replay(interleaving, outcome)
                 if outcome.violated:
                     violating = outcome
                     if stop_on_violation:
@@ -248,10 +255,8 @@ class Explorer(abc.ABC):
     ) -> None:
         """Bind semantic pruners (state memo / DPOR) to the replay engines.
 
-        A no-op for explorers without a pruning pipeline; the parallel
-        explorers call this with *all* worker engines so every replay feeds
-        the worker-shared memo table.  Sound-or-off: each pruner decides
-        for itself whether the engines support it.
+        A no-op for explorers without a pruning pipeline.  Sound-or-off:
+        each pruner decides for itself whether the engines support it.
         """
 
     def _finish_observation(
@@ -367,6 +372,9 @@ class ERPiExplorer(Explorer):
         #: without affecting which candidates are yielded — the soundness
         #: sanitizer's grouping auditor hooks in here.
         self.audit_pruners: List[Pruner] = []
+        #: A pool hunt's state memo, consulted at replay time instead of
+        #: pruning in the stream (see :mod:`repro.core.pipeline`).
+        self.replay_memo: Optional[Pruner] = None
 
     def candidates(self) -> Iterator[Interleaving]:
         self.pipeline.reset()
@@ -472,7 +480,7 @@ class ERPiExplorer(Explorer):
     def bind_semantic(
         self, engines: Sequence[ReplayEngine], assertions: Sequence[Assertion]
     ) -> None:
-        for pruner in self.pipeline.pruners:
+        for pruner in [*self.pipeline.pruners, self.replay_memo]:
             bind = getattr(pruner, "bind", None)
             if callable(bind):
                 bind(engines, assertions, meter=self.meter)

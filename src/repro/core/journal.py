@@ -5,9 +5,9 @@ worker or a killed parent because every
 committed verdict is journaled *before* the hunt moves past it.  The journal
 is JSONL, one record per line:
 
-* ``header``  — the hunt's identity and configuration (scenario, mode, seed,
-  cap, workers, fault/cache flags).  Always the first line; ``--resume``
-  rebuilds the whole hunt stack from it.
+* ``header``  — the hunt's identity (``HuntConfig.identity()``: scenario,
+  mode, seed, cap, workers, fault/cache flags, watchdog, budget).  Always
+  the first line; ``--resume`` refuses a hunt whose identity differs.
 * ``commit``  — one committed verdict, in global candidate order: index,
   verdict (``ok`` / ``violation`` / ``quarantine``), the interleaving key,
   and for violations the assertion messages (so a resumed hunt can report

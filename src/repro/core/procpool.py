@@ -86,11 +86,15 @@ import time
 import traceback
 from array import array
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.core.errors import ResourceExhausted
 from repro.core.explorers import DEFAULT_CAP, ExplorationResult, Explorer
 from repro.core.interleavings import Interleaving
+# The worker tasks live with the pipeline; benches and tests import them here.
+from repro.core.pipeline import CallableWorkerTask, WorkerTask, arm
 from repro.core.replay import Assertion, InterleavingOutcome, ReplayEngine
 from repro.faults.quarantine import QuarantinedReplay
 from repro.obs.metrics import MetricsRegistry
@@ -151,93 +155,6 @@ def _stream_width(explorer: Explorer) -> int:
     if grouping is not None:
         return max(1, len(grouping.units))
     return max(1, len(explorer.events))
-
-
-# -------------------------------------------------------------- worker tasks
-
-
-class WorkerTask:
-    """A picklable recipe for rebuilding one worker's exploration stack.
-
-    ``build()`` runs **inside** the worker process and must return
-    ``(explorer, engine, assertions, audit_events)`` — a fresh explorer over
-    the recorded schedule, a checkpointed :class:`ReplayEngine` over a fresh
-    cluster, the scenario's assertions, and the unfaulted recorded events
-    (the grouping auditor's input when sanitizing).  Implementations must
-    not capture module-level state: everything a worker needs is derived
-    from the task's own (picklable) fields, which keeps the bootstrap safe
-    under the ``spawn`` start method as well as ``fork``.
-    """
-
-    def build(self) -> Tuple[Explorer, ReplayEngine, Sequence[Assertion], tuple]:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class ScenarioWorkerTask(WorkerTask):
-    """Rebuild a registered bug scenario's hunt stack by name."""
-
-    scenario_name: str
-    mode: str = "erpi"
-    seed: int = 0
-    fixed: bool = False
-    faults: bool = False
-    replay_timeout_s: Optional[float] = None
-    memo: bool = False
-    dpor: bool = False
-
-    def build(self) -> Tuple[Explorer, ReplayEngine, Sequence[Assertion], tuple]:
-        # Imports are deferred so pickling the task never drags the bug
-        # registry (or a half-initialised module under spawn) along with it.
-        from repro.bench.harness import make_explorer, record_scenario
-        from repro.bugs import scenario
-        from repro.core.replay import SequentialExecutor
-
-        sc = scenario(self.scenario_name)
-        recorded = record_scenario(sc, fixed=self.fixed)
-        schedule = None
-        order_constraints: Tuple[Tuple[str, str], ...] = ()
-        fault_plan = None
-        if self.faults:
-            fault_plan = sc.fault_plan()
-            if fault_plan is None or fault_plan.is_empty():
-                raise ValueError(
-                    f"{sc.name} declares no fault plan; hunt with faults=False"
-                )
-            compiled = fault_plan.compile(recorded.events)
-            schedule = compiled.events
-            order_constraints = compiled.order_constraints
-        if self.replay_timeout_s is not None:
-            recorded.engine.executor = SequentialExecutor(
-                timeout_s=self.replay_timeout_s
-            )
-        explorer = make_explorer(
-            recorded, self.mode, seed=self.seed, events=schedule,
-            memo=self.memo, dpor=self.dpor,
-            # A stream-time memo prune driven by a worker-local table would
-            # desynchronise candidate indices across workers; the memo is
-            # consulted at replay time instead (see _run_worker).
-            memo_in_stream=False,
-        )
-        explorer.order_constraints = order_constraints
-        if fault_plan is not None:
-            explorer.fault_plan_description = fault_plan.describe()
-        return explorer, recorded.engine, sc.make_assertions(), recorded.events
-
-
-@dataclass(frozen=True)
-class CallableWorkerTask(WorkerTask):
-    """Rebuild from a module-level factory (the bench harness's spec).
-
-    ``factory`` must be importable by reference (a plain module-level
-    function), so the task pickles as a name, not as captured state.
-    """
-
-    factory: Any
-    args: Tuple[Any, ...] = ()
-
-    def build(self) -> Tuple[Explorer, ReplayEngine, Sequence[Assertion], tuple]:
-        return self.factory(*self.args)
 
 
 # ------------------------------------------------------------- columnar IPC
@@ -431,65 +348,34 @@ def _worker_main(task, config, conn, stop_event, go_event) -> None:
             pass
 
 
-class _WorkerRuntime:
-    __slots__ = ("explorer", "engine", "assertions", "sanitizer", "router",
-                 "stream_metrics", "replay_metrics", "memo")
-
-    def __init__(self, explorer, engine, assertions, sanitizer, router,
-                 stream_metrics, replay_metrics, memo=None) -> None:
-        self.explorer = explorer
-        self.engine = engine
-        self.assertions = assertions
-        self.sanitizer = sanitizer
-        self.router = router
-        self.stream_metrics = stream_metrics
-        self.replay_metrics = replay_metrics
-        self.memo = memo
+class _WorkerRuntime(NamedTuple):
+    explorer: Explorer
+    engine: ReplayEngine
+    assertions: Sequence[Assertion]
+    sanitizer: Any
+    router: PrefixShardRouter
+    #: The explorer's replay-time state memo, when it bound successfully.
+    memo: Any
 
 
 def _build_worker_runtime(task, config: _WorkerConfig) -> _WorkerRuntime:
-    from repro.core.explorers import ERPiExplorer
     from repro.core.sanitizer import Sanitizer
 
     explorer, engine, assertions, audit_events = task.build()
-    stream_metrics = replay_metrics = None
     if config.collect_metrics:
         # Two shards per worker: the explorer writes stream-side counters
         # (generated / pruned / invalid), the engine writes replay-side ones
         # (cache hits, messages, durations).  The parent merges them under
         # different rules — see ProcessParallelExplorer._merge_metrics.
-        stream_metrics = MetricsRegistry()
-        replay_metrics = MetricsRegistry()
-        explorer.metrics = stream_metrics
-        engine.metrics = replay_metrics
-    if config.prefix_cache and engine.prefix_cache is None:
-        # Charge retained snapshots to the meter only when a budget is
-        # actually armed: the deep footprint walk roughly doubles the cost
-        # of a cached replay, and the default unlimited meter enforces
-        # nothing the walk could trip.
-        meter = explorer.meter if explorer.meter.budget_bytes is not None else None
-        engine.enable_prefix_cache(meter=meter)
-    sanitizer = None
-    if config.sanitize is not None:
-        sanitizer = Sanitizer(
-            rate=config.sanitize,
-            sample_k=config.sanitize_sample_k,
-            seed=config.seed,
-        )
-        sanitizer.watch_engine(engine)
-        if isinstance(explorer, ERPiExplorer):
-            sanitizer.watch_pruners(explorer.pipeline.pruners)
-            explorer.audit_pruners.append(
-                sanitizer.grouping_auditor(audit_events, explorer.spec_groups)
-            )
-    # Bind the semantic pruners exactly as a serial explore() would (the
-    # worker loop pulls candidates() directly, bypassing explore()).
-    explorer.bind_semantic((engine,), assertions)
+        explorer.metrics = MetricsRegistry()
+        engine.metrics = MetricsRegistry()
+    sanitizer = None if config.sanitize is None else Sanitizer(
+        rate=config.sanitize, sample_k=config.sanitize_sample_k, seed=config.seed)
+    # The worker loop pulls candidates() directly, bypassing explore(), so
+    # the semantic pruners are bound here.
+    arm(explorer, engine, assertions, prefix_cache=config.prefix_cache,
+        sanitizer=sanitizer, audit_events=audit_events)
     memo = getattr(explorer, "replay_memo", None)
-    if memo is not None:
-        memo.bind((engine,), assertions, meter=explorer.meter)
-        if not memo.enabled:
-            memo = None
     # Runtime write-set validation can disable the DPOR pruner, and a
     # disable observed by one worker but not another would desynchronise
     # the candidate streams.  The static footprint model is conservative on
@@ -501,7 +387,7 @@ def _build_worker_runtime(task, config: _WorkerConfig) -> _WorkerRuntime:
     router = PrefixShardRouter(config.workers, prefix_len)
     return _WorkerRuntime(
         explorer, engine, assertions, sanitizer, router,
-        stream_metrics, replay_metrics, memo=memo,
+        memo if memo is not None and memo.enabled else None,
     )
 
 
@@ -658,12 +544,12 @@ def _worker_flush(runtime: _WorkerRuntime, config: _WorkerConfig, yields: int,
         "cache": None,
         "sanitizer": None,
     }
-    if runtime.stream_metrics is not None:
+    if config.collect_metrics:
         widx = config.worker_index
-        flush["stream"] = runtime.stream_metrics.to_payload(
+        flush["stream"] = explorer.metrics.to_payload(
             epoch=("stream", widx, config.attempt)
         )
-        flush["replay"] = runtime.replay_metrics.to_payload(
+        flush["replay"] = engine.metrics.to_payload(
             epoch=("replay", widx, config.attempt)
         )
     cache = engine.prefix_cache
@@ -741,10 +627,11 @@ class ProcessParallelExplorer:
     """Drive a pool of shared-nothing exploration workers.
 
     ``base`` supplies the mode label and the observability objects, and a
-    :class:`WorkerTask` is what each worker uses to rebuild the whole stack
-    in its own process.  ``explore`` matches the serial ``Explorer.explore``
-    signature and return type, and its committed results are bit-for-bit
-    those of a serial run.
+    :class:`WorkerTask` (a hunt's :class:`~repro.core.pipeline.HuntConfig`)
+    is what each worker uses to rebuild the whole stack in its own process;
+    ``hunt()`` builds ``base`` with the same pipeline.  ``explore`` matches
+    the serial ``Explorer.explore`` signature and return type, and its
+    committed results are bit-for-bit those of a serial run.
 
     ``prestart()`` optionally spawns and bootstraps the pool up front (the
     bench uses it to keep worker startup out of the timed region); otherwise

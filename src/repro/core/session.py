@@ -33,6 +33,7 @@ from repro.core.errors import RecordingError, ResourceExhausted
 from repro.core.events import Event
 from repro.core.explorers import DEFAULT_CAP, ERPiExplorer, ExplorationResult
 from repro.core.interleavings import GroupingResult
+from repro.core.pipeline import arm, explorer_with_faults
 from repro.core.pruning import (
     DPORPruner,
     Pruner,
@@ -157,7 +158,12 @@ def persist_exploration(
 
 
 class ErPi:
-    """One integration-testing session over a cluster."""
+    """One integration-testing session over a cluster.
+
+    :meth:`end` arms its explorer through :func:`~repro.core.pipeline.arm`,
+    as a hunt does, and collects outcomes and Datalog rows from
+    :meth:`~repro.core.explorers.Explorer.explore`'s per-replay hook.
+    """
 
     def __init__(
         self,
@@ -237,22 +243,15 @@ class ErPi:
         self.faults = faults
         self.replay_timeout_s = replay_timeout_s
         if lock_stepped:
-            executor: Any = (
-                LockSteppedExecutor(timeout_s=replay_timeout_s)
-                if replay_timeout_s is not None
-                else LockSteppedExecutor()
-            )
-        elif replay_timeout_s is not None:
-            executor = SequentialExecutor(timeout_s=replay_timeout_s)
+            executor: Any = LockSteppedExecutor()
+            if replay_timeout_s is not None:
+                executor.timeout_s = replay_timeout_s
         else:
-            executor = None
+            executor = SequentialExecutor(timeout_s=replay_timeout_s)
         self.tracer = trace if trace is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self._engine = ReplayEngine(cluster, executor)
-        self._engine.tracer = self.tracer
-        self._engine.metrics = self.metrics
-        if prefix_cache:
-            self._engine.enable_prefix_cache()
+        self.prefix_cache = prefix_cache
         self.memo = memo
         self.dpor = dpor
         self._memo_pruner: Optional[StateMemoPruner] = None
@@ -265,7 +264,6 @@ class ErPi:
                 seed=sanitize_seed,
                 store=self.store,
             )
-            self._sanitizer.watch_engine(self._engine)
         self._extra_constraints: List[Constraint] = []
 
     # ------------------------------------------------------------- markers
@@ -328,23 +326,6 @@ class ErPi:
         events = tuple(self._recorder.stop())
         self._recorder = None
 
-        # Compile the fault plan (if any) against the recorded events: the
-        # fault events join the schedule and are permuted like any other,
-        # within the plan's validity constraints.
-        fault_events: Tuple[Event, ...] = ()
-        order_constraints: Tuple[Tuple[str, str], ...] = ()
-        schedule_events = events
-        if self.faults is not None and not self.faults.is_empty():
-            if self.tracer.enabled:
-                fspan = self.tracer.begin("fault-compile")
-                compiled = self.faults.compile(events)
-                self.tracer.end(fspan, fault_events=len(compiled.fault_events))
-            else:
-                compiled = self.faults.compile(events)
-            schedule_events = compiled.events
-            fault_events = compiled.fault_events
-            order_constraints = compiled.order_constraints
-
         constraints = list(self._extra_constraints)
         if self.constraints_dir:
             constraints.extend(load_constraints_dir(self.constraints_dir))
@@ -363,99 +344,50 @@ class ErPi:
         if self._memo_pruner is not None:
             pruners.append(self._memo_pruner)
 
-        explorer = ERPiExplorer(
-            schedule_events,
-            spec_groups=spec_groups_from(constraints),
-            pruners=pruners,
-            order=order,
+        # The fault plan's events join the schedule and are permuted like
+        # any other, within the plan's validity constraints.
+        explorer, fault_events = explorer_with_faults(
+            self.faults, events,
+            lambda schedule: ERPiExplorer(
+                schedule, spec_groups=spec_groups_from(constraints),
+                pruners=pruners, order=order,
+            ),
+            self.tracer,
         )
-        explorer.order_constraints = order_constraints
-        explorer.tracer = self.tracer
-        explorer.metrics = self.metrics
-        if fault_events and self.faults is not None:
-            explorer.fault_plan_description = self.faults.describe()
-        if self._sanitizer is not None:
-            self._sanitizer.reset_pruners()
-            self._sanitizer.watch_pruners(explorer.pipeline.pruners)
-            explorer.audit_pruners.append(
-                self._sanitizer.grouping_auditor(schedule_events, explorer.spec_groups)
-            )
-        # Arm the semantic pruners (sound-or-off: bind refuses and records
-        # why when the engine or a subject cannot support them).
-        if self._dpor_pruner is not None:
-            self._dpor_pruner.bind((self._engine,), assertions)
-        if self._memo_pruner is not None:
-            self._memo_pruner.bind(
-                (self._engine,), assertions, meter=explorer.meter
-            )
+        schedule_events = explorer.events
+        arm(
+            explorer, self._engine, assertions, prefix_cache=self.prefix_cache,
+            sanitizer=self._sanitizer, audit_events=schedule_events,
+            tracer=self.tracer, metrics=self.metrics,
+        )
 
         outcomes: List[InterleavingOutcome] = []
         violations: List[Tuple[int, str]] = []
-        quarantined: List[QuarantinedReplay] = []
-        explored = 0
-        tracer = self.tracer
-        metrics = self.metrics
-        root = tracer.begin("explore") if tracer.enabled else None
-        candidates = explorer.candidates()
-        try:
-            # Cap checked before pulling (see Explorer.explore): a capped
-            # session never generates candidates it will not replay.
-            while explored < cap:
-                if tracer.enabled:
-                    gspan = tracer.begin("generate")
-                    try:
-                        interleaving = next(candidates, None)
-                    except BaseException as exc:
-                        tracer.end(gspan, error=type(exc).__name__)
-                        raise
-                    tracer.end(gspan, exhausted=interleaving is None)
+        store = self.store
+
+        def on_replay(interleaving, verdict) -> None:
+            if store is not None:
+                il_id = store.persist_interleaving([e.event_id for e in interleaving])
+                if isinstance(verdict, QuarantinedReplay):
+                    store.mark_explored(il_id, "quarantined")
+                    store.persist_quarantine(il_id, verdict.error_type)
                 else:
-                    interleaving = next(candidates, None)
-                if interleaving is None:
-                    break
-                try:
-                    outcome = self._engine.replay(interleaving, assertions)
-                except ResourceExhausted:
-                    raise
-                except Exception as exc:
-                    # Quarantine: capture the wreckage, reset the cluster, and
-                    # keep exploring instead of killing the session.
-                    if tracer.enabled:
-                        qspan = tracer.begin("quarantine")
-                        quarantined.append(explorer._quarantine(interleaving, exc))
-                        tracer.end(qspan, error_type=type(exc).__name__)
-                    else:
-                        quarantined.append(explorer._quarantine(interleaving, exc))
-                    if metrics.enabled:
-                        metrics.inc("interleavings.quarantined")
-                    explored += 1
-                    self._engine.restore()
-                    if self.store is not None:
-                        il_id = self.store.persist_interleaving(
-                            [event.event_id for event in interleaving]
-                        )
-                        self.store.mark_explored(il_id, "quarantined")
-                        self.store.persist_quarantine(il_id, type(exc).__name__)
-                    continue
-                explored += 1
-                if metrics.enabled:
-                    metrics.inc("interleavings.replayed")
-                if self.store is not None:
-                    il_id = self.store.persist_interleaving(
-                        [event.event_id for event in interleaving]
-                    )
-                    self.store.mark_explored(
-                        il_id, "violation" if outcome.violated else "ok"
-                    )
-                if keep_outcomes or outcome.violated:
-                    outcomes.append(outcome)
-                for message in outcome.violations:
-                    violations.append((len(outcomes) - 1, message))
-                if outcome.violated and stop_on_violation:
-                    break
-        finally:
-            if root is not None:
-                tracer.end(root, mode="erpi", explored=explored)
+                    verdict_name = "violation" if verdict.violated else "ok"
+                    store.mark_explored(il_id, verdict_name)
+            if isinstance(verdict, InterleavingOutcome) and (
+                keep_outcomes or verdict.violated
+            ):
+                outcomes.append(verdict)
+                violations.extend(
+                    (len(outcomes) - 1, message) for message in verdict.violations
+                )
+
+        result = explorer.explore(
+            self._engine, assertions, cap=cap,
+            stop_on_violation=stop_on_violation, on_replay=on_replay,
+        )
+        if result.crashed:
+            raise ResourceExhausted(result.crash_reason)
 
         cross_violations: List[Tuple[str, str]] = []
         for check in cross_checks:
@@ -472,13 +404,6 @@ class ErPi:
         # Reset the cluster to the pre-workload checkpoint so the session can
         # be rerun (or another session started) from a clean slate.
         self._engine.restore()
-
-        pruning_stats: Dict[str, int] = {
-            "event_grouping": explorer.grouping.raw_space
-            - explorer.grouping.grouped_space
-        }
-        for name, stats in explorer.pipeline.stats().items():
-            pruning_stats[name] = stats.pruned
 
         if self.store is not None:
             for event in schedule_events:
@@ -523,12 +448,12 @@ class ErPi:
         return SessionReport(
             events=schedule_events,
             grouping=explorer.grouping,
-            explored=explored,
+            explored=result.explored,
             outcomes=outcomes,
             violations=violations,
             cross_violations=cross_violations,
-            pruning_stats=pruning_stats,
+            pruning_stats=result.pruning_stats,
             sanitizer=sanitizer_report,
             fault_events=fault_events,
-            quarantined=quarantined,
+            quarantined=result.quarantined,
         )

@@ -16,12 +16,12 @@ from repro.bench.harness import hunt, make_explorer, record_scenario
 from repro.bugs.registry import scenario
 from repro.core.explorers import Explorer
 from repro.core.interleavings import group_events, interleaving_stream
+from repro.core.pipeline import HuntConfig
 from repro.core.procpool import (
     CallableWorkerTask,
     PrefixShardRouter,
     ProcessParallelExplorer,
     QuietWorkerDetector,
-    ScenarioWorkerTask,
     auto_prefix_len,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -36,7 +36,7 @@ def run_process_hunt(name, workers, cap=60, metrics=None, start_method=None):
         recorded.engine.metrics = metrics
     pool = ProcessParallelExplorer(
         explorer,
-        ScenarioWorkerTask(scenario_name=name, mode="erpi", seed=0),
+        HuntConfig(scenario_name=name, mode="erpi", seed=0),
         workers=workers,
         prefix_cache=True,
         seed=0,
@@ -274,7 +274,7 @@ class TestShutdown:
         explorer = make_explorer(recorded, "erpi")
         pool = ProcessParallelExplorer(
             explorer,
-            ScenarioWorkerTask(scenario_name="Roshi-1"),
+            HuntConfig(scenario_name="Roshi-1"),
             workers=2,
             shutdown_timeout_s=5,
         )
@@ -289,7 +289,7 @@ class TestShutdown:
         explorer = make_explorer(recorded, "erpi")
         pool = ProcessParallelExplorer(
             explorer,
-            ScenarioWorkerTask(scenario_name="Roshi-1"),
+            HuntConfig(scenario_name="Roshi-1"),
             workers=2,
             shutdown_timeout_s=5,
         )

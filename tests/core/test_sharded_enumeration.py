@@ -17,10 +17,10 @@ import pytest
 from repro.bench.harness import hunt, make_explorer, record_scenario
 from repro.bugs.registry import scenario
 from repro.core.coordinator import CoordinatedHuntExplorer
+from repro.core.pipeline import HuntConfig
 from repro.core.procpool import (
     PrefixShardRouter,
     ProcessParallelExplorer,
-    ScenarioWorkerTask,
 )
 
 LIMIT = 240  # stream-prefix length compared per equivalence check
@@ -132,10 +132,10 @@ def process_hunt(name, workers, cap=150):
     compiled = recorded.scenario.fault_plan().compile(recorded.events)
     explorer = make_explorer(
         recorded, "erpi", events=compiled.events,
-        memo=True, dpor=True, memo_in_stream=False,
+        memo=True, dpor=True,
     )
     explorer.order_constraints = compiled.order_constraints
-    task = ScenarioWorkerTask(
+    task = HuntConfig(
         scenario_name=name, mode="erpi", seed=0,
         faults=True, memo=True, dpor=True,
     )
@@ -193,7 +193,7 @@ class TestWorkStealing:
         explorer = make_explorer(recorded, "erpi")
         pool = CoordinatedHuntExplorer(
             explorer,
-            ScenarioWorkerTask(scenario_name="Roshi-1", mode="erpi", seed=0),
+            HuntConfig(scenario_name="Roshi-1", mode="erpi", seed=0),
             workers=2,
             prefix_cache=True,
             seed=0,
