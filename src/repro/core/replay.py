@@ -1,61 +1,50 @@
 """The replay engine: execute interleavings against checkpointed replicas.
 
-For each interleaving (paper section 4.3) the engine:
+For each interleaving (paper section 4.3) the engine restores the
+checkpointed initial state, re-invokes the recorded events in order (an RDL
+error is *data* — it feeds failed-ops pruning — not an engine failure), runs
+the per-interleaving assertions and reports an :class:`InterleavingOutcome`.
+Every replay goes through one routine with one suffix loop; see
+:class:`ReplayEngine` for its start points and boundary hooks.
 
-1. restores every replica to the checkpointed initial state (and clears the
-   transport), so interleavings cannot affect each other;
-2. re-invokes the recorded events in the interleaving's order, catching RDL
-   errors — a failing op is *data* (it feeds failed-ops pruning), not an
-   engine failure;
-3. runs the registered per-interleaving assertions;
-4. reports an :class:`InterleavingOutcome`.
-
-Two executors enforce the event order:
-
-* :class:`SequentialExecutor` — the default: events run in-line in
-  interleaving order (deterministic and fast; correct because the simulated
-  cluster is single-process).
-* :class:`LockSteppedExecutor` — one worker thread per replica, released in
-  event order by the Redis-backed distributed lock
-  (:class:`~repro.redisim.lock.SequenceGate`) exactly as the paper's
-  middleware orders events across real machines.
+Two executors enforce the event order: :class:`SequentialExecutor` (the
+default) has the engine's loop run events in-line — deterministic, and
+correct because the simulated cluster is single-process — while
+:class:`LockSteppedExecutor` runs one worker thread per replica, released
+in event order by the Redis-backed distributed lock
+(:class:`~repro.redisim.lock.SequenceGate`) exactly as the paper's
+middleware orders events across real machines.
 
 Prefix-reuse replay
 -------------------
 
-Exhaustive exploration replays thousands of near-identical interleavings:
-with the paper's minimal-change (SJT) enumeration, consecutive candidates
+With the paper's minimal-change (SJT) enumeration, consecutive candidates
 differ by one adjacent transposition, so most of each replay re-executes a
-prefix the previous replay already executed.  :class:`PrefixSnapshotCache`
-exploits that: after each executed event the engine stores a snapshot of the
-*one replica that event touched* (plus the transport, for sync events),
-keyed by the event-id prefix.  The next candidate restores from its longest
-cached prefix and re-executes only the suffix.
-
-Replica snapshots are shared structurally between cache entries (an entry
-only replaces the snapshot of the replica its last event touched) and are
+prefix an earlier replay already executed.  :class:`PrefixSnapshotCache`
+keeps, after each executed event, a snapshot of the *one replica that
+event touched* (plus the transport, for sync events) keyed by the event-id
+prefix; the next candidate adopts its longest cached prefix and executes
+only the suffix.  Snapshots are shared structurally between entries and
 reference-counted, so the cache's real retained bytes can be charged to —
 and released from — a :class:`~repro.core.resources.ResourceMeter`,
-keeping the Figure-10 succeed-or-crash semantics honest.  Each replica's
-snapshot splits into the RDL state (the expensive copy) and the host's two
-sync counters (two ints): a ``SYNC_REQ`` never changes the sender's RDL
-state, so its cache entry shares the previous RDL snapshot outright and
-pays only for the counter pair.
+keeping the Figure-10 succeed-or-crash semantics honest.  A ``SYNC_REQ``
+never changes the sender's RDL state, so its entry shares the previous RDL
+snapshot and pays only for the host's two sync counters.
 
-Soundness: prefix reuse requires that replaying a given event sequence from
-the checkpoint is a pure function of the sequence.  That holds exactly when
-(a) events run through the :class:`SequentialExecutor` and (b) the network
-conditions are deterministic (FIFO, no random drops or duplicates), because
-a lossy/reordering transport consumes its seeded RNG monotonically across
-replays.  When either condition fails, the engine silently falls back to
-fresh full replays — results are identical either way, only slower.
+Soundness: prefix reuse requires that replaying an event sequence from the
+checkpoint is a pure function of the sequence.  That holds exactly when
+events run through the :class:`SequentialExecutor`, the network is
+deterministic (FIFO, no random drops or duplicates: a lossy transport
+consumes its seeded RNG monotonically across replays) and the interleaving
+holds no fault event.  Otherwise the replay restores in full — results are
+identical either way, only slower.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ReplayError
@@ -86,10 +75,10 @@ class EventResult:
 class InterleavingOutcome:
     """The full result of replaying one interleaving.
 
-    ``states`` may be constructed lazily: the cached replay path passes a
-    zero-argument thunk over copy-on-write state views instead of eagerly
-    computing every replica's observable value — most assertions never read
-    final states, so the work is done only on first access.
+    ``states`` may be constructed lazily: a replay that started from the
+    prefix cache passes a zero-argument thunk over copy-on-write state views
+    instead of every replica's observable value — most assertions never
+    read final states, so the work is done only on first access.
     """
 
     __slots__ = ("interleaving", "event_results", "_states", "violations", "duration_s")
@@ -162,38 +151,18 @@ Assertion = Callable[["InterleavingOutcome"], Optional[str]]
 class SequentialExecutor:
     """Run the events of an interleaving in-line, in order.
 
-    ``timeout_s`` arms a per-replay wall-clock watchdog: when a replay's
-    elapsed time exceeds it, :class:`ReplayTimeout` is raised between
-    events (cooperative — a single wedged subject call cannot be
-    interrupted, but a slow or looping replay is cut off at the next event
-    boundary and quarantined by the explorer).
+    The replay engine's own loop runs them; this executor carries its
+    configuration.  ``timeout_s`` arms a per-replay wall-clock watchdog:
+    when a replay's elapsed time exceeds it, :class:`ReplayTimeout` is
+    raised between events (cooperative — a single wedged subject call
+    cannot be interrupted, but a slow or looping replay is cut off at the
+    next event boundary and quarantined by the explorer).
     """
 
     def __init__(self, timeout_s: Optional[float] = None) -> None:
         if timeout_s is not None and timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
         self.timeout_s = timeout_s
-
-    def run(self, cluster: Cluster, interleaving: Interleaving) -> List[EventResult]:
-        # Lamport stamps along a total order are just 1-based positions
-        # (see assign_lamport); invoking directly skips the StampedEvent
-        # allocations on the hottest loop in the engine.
-        timeout = self.timeout_s
-        if timeout is None:
-            return [
-                _invoke(cluster, event, lamport)
-                for lamport, event in enumerate(interleaving, 1)
-            ]
-        deadline = time.monotonic() + timeout
-        results: List[EventResult] = []
-        for lamport, event in enumerate(interleaving, 1):
-            if time.monotonic() > deadline:
-                raise ReplayTimeout(
-                    f"replay exceeded the {timeout}s watchdog after "
-                    f"{lamport - 1} of {len(interleaving)} events"
-                )
-            results.append(_invoke(cluster, event, lamport))
-        return results
 
 
 class LockSteppedExecutor:
@@ -331,20 +300,6 @@ def _invoke(cluster: Cluster, event: Event, lamport: int) -> EventResult:
         )
 
 
-def _states_from_views(views: Dict[str, Tuple[type, Any]]) -> Dict[str, Any]:
-    """Evaluate replica states from captured copy-on-write state views.
-
-    Rebuilds a throwaway shell of each replica class around its view dict
-    and asks it for ``value()`` — read-only by the host protocol contract.
-    """
-    out: Dict[str, Any] = {}
-    for rid, (cls, view) in views.items():
-        shim = cls.__new__(cls)
-        shim.__dict__.update(view)
-        out[rid] = shim.value()
-    return out
-
-
 # --------------------------------------------------------------------------
 # Prefix snapshot cache
 # --------------------------------------------------------------------------
@@ -370,6 +325,9 @@ class _Snap:
 #: The counters live outside the refcounted snap so entries that only bump a
 #: counter (``SYNC_REQ`` on the sender) can share the RDL snapshot.
 _ReplicaRecord = Tuple[_Snap, int, int]
+
+#: A replay-loop boundary hook, run as ``hook(position, event, result)``.
+_Hook = Callable[[int, Event, EventResult], None]
 
 
 class _RootEntry:
@@ -486,19 +444,11 @@ class PrefixSnapshotCache:
         self.stats = PrefixCacheStats()
         self._entries: Dict[Tuple[int, str], _CacheEntry] = {}
         self._next_id = 0
-        self._root: Optional[_RootEntry] = None
-        self._baseline: Tuple[int, int, int, int] = (0, 0, 0, 0)
+        self.root: Optional[_RootEntry] = None
+        #: Absolute transport counters at the checkpoint (root) state.
+        self.baseline: Tuple[int, int, int, int] = (0, 0, 0, 0)
 
     # ------------------------------------------------------------- plumbing
-
-    @property
-    def root(self) -> Optional[_RootEntry]:
-        return self._root
-
-    @property
-    def baseline(self) -> Tuple[int, int, int, int]:
-        """Absolute transport counters at the checkpoint (root) state."""
-        return self._baseline
 
     def make_snap(self, data: Any) -> _Snap:
         # Footprint walks are only worth their cost when someone meters them.
@@ -530,28 +480,19 @@ class PrefixSnapshotCache:
                 self.meter.release(self.CATEGORY, snap.nbytes)
 
     def _entry_snaps(self, entry: _CacheEntry) -> List[_Snap]:
-        snaps: List[_Snap] = []
-        if entry.snap is not None:
-            snaps.append(entry.snap)
-        if entry.transport_snap is not None:
-            snaps.append(entry.transport_snap)
-        return snaps
+        return [snap for snap in (entry.snap, entry.transport_snap) if snap]
 
     # ------------------------------------------------------------------ api
 
     def set_root(self, entry: _RootEntry, baseline: Tuple[int, int, int, int]) -> None:
         """Install the checkpoint-state entry (never evicted)."""
-        if self._root is not None:
+        if self.root is not None:
             self.clear()
         for record in entry.replica_snaps.values():
             self._acquire(record[0])
         self._acquire(entry.transport_snap)
-        self._root = entry
-        self._baseline = baseline
-
-    def get(self, key: Tuple[int, str]) -> Optional[_CacheEntry]:
-        """Look up the child entry under ``(parent_entry_id, event_id)``."""
-        return self._entries.get(key)
+        self.root = entry
+        self.baseline = baseline
 
     def put(self, entry: _CacheEntry) -> None:
         """Insert an entry, charging the meter; a full cache drops its whole
@@ -591,30 +532,45 @@ class PrefixSnapshotCache:
             for snap in self._entry_snaps(entry):
                 self._release(snap)
         self._entries.clear()
-        root = self._root
+        root = self.root
         if root is not None:
             for record in root.replica_snaps.values():
                 self._release(record[0])
             self._release(root.transport_snap)
-            self._root = None
+            self.root = None
         self.stats.entries = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key: Tuple[int, str]) -> bool:
-        return key in self._entries
-
 
 class ReplayEngine:
     """Checkpoint/replay/assert driver over a cluster.
 
-    With ``prefix_cache`` attached (see :meth:`enable_prefix_cache`) and a
-    sound configuration (sequential executor, deterministic network), replays
-    restore from the longest cached event-id prefix and execute only the
-    suffix; otherwise every replay is a fresh full run from the checkpoint.
-    While a cache is active the engine must be the only writer to its
-    cluster between ``checkpoint()`` and the final ``restore()``.
+    ``replay`` and ``replay_fresh`` (the sanitizer's ground truth) share
+    one prologue, one assertion loop and one routine, :meth:`_run`:
+
+    1. *Start point.*  ``replay`` walks the prefix trie to the longest
+       cached prefix and adopts it when a cache is attached and replay is
+       pure (:meth:`prefix_cache_active`); a bound state memo also needs
+       every transition of the interleaving memoised.  Otherwise, and
+       always for ``replay_fresh``, the checkpoint is restored in full.
+    2. *Suffix loop.*  Before each remaining event the watchdog is checked
+       and, after a cached start only, a replica borrowed from a cached
+       snapshot is materialised before its first mutation (copy-on-write).
+       After each event one boundary hook, chosen once per replay, runs:
+       after a cached start it stores the new prefix's cache entry; after a
+       full restore under the memo it updates the incremental digests and
+       the transition memo and reports the event's write set to DPOR.
+       A :class:`LockSteppedExecutor` runs this step through its own
+       ``run``.
+    3. *Epilogue.*  Transport deltas and the suppressed-send count; final
+       states as lazy copy-on-write views after a cached start, eager
+       values after a full restore; the memo's record of the replay.
+
+    Every replay that started from the cache is offered to the shadow
+    sanitizer.  While a cache is active the engine must be the only writer
+    to its cluster between ``checkpoint()`` and the final ``restore()``.
     """
 
     def __init__(
@@ -627,12 +583,12 @@ class ReplayEngine:
         self.executor = executor or SequentialExecutor()
         self.prefix_cache = prefix_cache
         #: Optional online cross-checker (see repro.core.sanitizer): when
-        #: attached, a configurable fraction of cache-accelerated replays are
-        #: shadow-replayed from scratch and diffed against the cached result.
+        #: attached, a configurable fraction of replays that started from
+        #: the prefix cache are shadow-replayed from scratch and diffed.
         self.sanitizer: Optional[Any] = None
         #: Semantic pruning hooks (see repro.core.pruning.semantic).  When a
-        #: :class:`StateMemoPruner` is bound, memo-eligible replays run
-        #: through the digest-capture path and feed it; a bound
+        #: :class:`StateMemoPruner` is bound, memo-eligible replays capture
+        #: the cluster digest at every event boundary and feed it; a bound
         #: ``footprint_observer`` (the DPOR pruner) receives each event's
         #: observed write set for model validation.
         self.state_memo: Optional[Any] = None
@@ -653,19 +609,18 @@ class ReplayEngine:
         #: observed run swaps real ones in.
         self.tracer = NULL_TRACER
         self.metrics = NULL_METRICS
-        self._last_was_cached = False
         # Live-state version tracking: maps replica id -> the _Snap whose RDL
         # state the replica currently holds (None/missing = unknown/dirty).
         # Sync counters are not tracked — they are two ints, always restored.
         self._live_rdl: Dict[str, Optional[_Snap]] = {}
         self._live_transport: Optional[_Snap] = None
-        # Incremental-digest state for the memo path (see _replay_digest):
-        # the checkpoint boundary's digests, the (digest, event-id) ->
-        # boundary-digest transition memo, the last cluster hit/miss counts
-        # already folded into metrics, and the sound-or-off switch sampled
-        # verification flips.
+        # Incremental-digest state for memo replays (see _digest_hook): the
+        # checkpoint boundary's digests, the (digest, event-id) -> boundary
+        # transition memo, both as (replica digests, combined, transport)
+        # triples; the last cluster hit/miss counts already folded into
+        # metrics; and the sound-or-off switch sampled verification flips.
         self._checkpoint_digests: Optional[Tuple[Dict[str, str], str, str]] = None
-        self._digest_trie: Dict[Tuple[str, ...], Tuple[Dict[str, str], str, str]] = {}
+        self._digest_trie: Dict[Tuple[str, str], Tuple[Dict[str, str], str, str]] = {}
         self._digest_trie_limit = 200_000
         self._digest_reported: Tuple[int, int] = (0, 0)
         self._digest_replays = 0
@@ -694,40 +649,35 @@ class ReplayEngine:
         self._digest_trie.clear()
         self.cluster.invalidate_digests()
 
-    def prefix_cache_active(self) -> bool:
-        """True when replays will actually use the prefix cache.
-
-        Reuse is sound only when replaying a prefix is a pure function of
-        the event sequence: the in-line sequential executor plus a
-        deterministic transport (FIFO, no random drops/duplicates — a lossy
-        transport consumes its seeded RNG monotonically *across* replays, so
-        skipping a prefix would desynchronise the stream).
-        """
-        if self.prefix_cache is None:
-            return False
+    def _impurity(self) -> Optional[str]:
+        """Why replaying an event sequence is not a pure function of the
+        sequence (see the module docstring), or None when it is."""
         if type(self.executor) is not SequentialExecutor:
-            return False
+            return f"executor {type(self.executor).__name__} is not sequential"
         conditions = self.cluster.transport.conditions
-        if not (
-            conditions.fifo
-            and conditions.drop_rate == 0
-            and conditions.duplicate_rate == 0
-        ):
-            return False
-        # Every replica must expose its full state through the
-        # copy-on-write view protocol (see RDLReplica.supports_state_view).
-        return all(
-            host.rdl.supports_state_view for host in self.cluster._hosts.values()
+        if not conditions.fifo:
+            return "transport is not FIFO"
+        if conditions.drop_rate != 0 or conditions.duplicate_rate != 0:
+            return "transport has random drops/duplicates"
+        return None
+
+    def prefix_cache_active(self) -> bool:
+        """True when replays will actually use the prefix cache: one is
+        attached, replay is pure (see :meth:`_impurity`), and every replica
+        exposes its full state through the copy-on-write view protocol
+        (see ``RDLReplica.supports_state_view``)."""
+        return (
+            self.prefix_cache is not None
+            and self._impurity() is None
+            and all(
+                host.rdl.supports_state_view for host in self.cluster._hosts.values()
+            )
         )
 
     def semantic_supported(self, require_digest: bool = True) -> bool:
-        """True when semantic pruning may bind to this engine.
-
-        The requirements mirror :meth:`prefix_cache_active` — replay must
-        be a pure function of the event sequence — plus, for the state
-        memo (``require_digest``), every subject must expose
-        ``canonical_state()`` so the cluster is digestible.
-        """
+        """True when semantic pruning may bind to this engine: replay is
+        pure and, for the state memo (``require_digest``), every subject
+        exposes ``canonical_state()`` so the cluster is digestible."""
         return self.semantic_unsupported_reason(require_digest) is None
 
     def semantic_unsupported_reason(
@@ -736,14 +686,10 @@ class ReplayEngine:
         """Why semantic pruning cannot bind here, or None when it can."""
         if self._checkpoint is None:
             return "no checkpoint taken"
-        if type(self.executor) is not SequentialExecutor:
-            return f"executor {type(self.executor).__name__} is not sequential"
-        conditions = self.cluster.transport.conditions
-        if not conditions.fifo:
-            return "transport is not FIFO"
-        if conditions.drop_rate != 0 or conditions.duplicate_rate != 0:
-            return "transport has random drops/duplicates"
-        if getattr(conditions, "latency_ticks", 0):
+        reason = self._impurity()
+        if reason is not None:
+            return reason
+        if getattr(self.cluster.transport.conditions, "latency_ticks", 0):
             return "transport has delivery latency"
         if require_digest and self.cluster.state_digest() is None:
             return "a subject does not implement canonical_state()"
@@ -761,28 +707,56 @@ class ReplayEngine:
         the replay counters; with the null objects attached the observed
         wrapper is a single boolean check.
         """
+        return self._replay("replay", interleaving, assertions, True)
+
+    def replay_fresh(
+        self,
+        interleaving: Interleaving,
+        assertions: Sequence[Assertion] = (),
+    ) -> InterleavingOutcome:
+        """A from-scratch replay that bypasses the prefix cache.
+
+        Used by the differential sanitizer as its ground truth: the cluster
+        is restored to the checkpoint and every event re-executes, whatever
+        caches are attached.  Safe to interleave with cached replays — the
+        engine's live-state tracking is invalidated so the next cached
+        replay restores honestly.
+
+        Observed runs emit a ``replay:fresh`` span per call (distinguishing
+        sanitizer ground-truth replays from pipeline replays in traces).
+        """
+        return self._replay("replay:fresh", interleaving, assertions, False)
+
+    def _replay(
+        self,
+        span_name: str,
+        interleaving: Interleaving,
+        assertions: Sequence[Assertion],
+        reuse: bool,
+    ) -> InterleavingOutcome:
+        """The shared body of :meth:`replay` and :meth:`replay_fresh`."""
+        if self._checkpoint is None:
+            raise ReplayError("checkpoint() must be called before replaying")
+        if self._fault_dirty:
+            self._reset_fault_state()
         tracer = self.tracer
-        metrics = self.metrics
-        if not (tracer.enabled or metrics.enabled):
-            return self._replay_checked(interleaving, assertions)
-        cache = self.prefix_cache
-        hits_before = cache.stats.hits if cache is not None else 0
-        span = tracer.begin("replay") if tracer.enabled else None
+        span = tracer.begin(span_name) if tracer.enabled else None
         try:
-            outcome = self._replay_checked(interleaving, assertions)
+            outcome, start = self._run(interleaving, reuse)
+            if start != "off" and self.sanitizer is not None:
+                self.sanitizer.maybe_check(self, interleaving, outcome)
+            for assertion in assertions:
+                message = assertion(outcome)
+                if message is not None:
+                    outcome.violations.append(message)
         except BaseException as exc:
             if span is not None:
                 tracer.end(span, error=type(exc).__name__)
             raise
-        if self._last_was_cached:
-            hit = cache is not None and cache.stats.hits > hits_before
-            cache_state = "hit" if hit else "miss"
-        else:
-            cache_state = "off"
-        if metrics.enabled:
-            self._record_replay_metrics(metrics, outcome, cache_state)
+        if self.metrics.enabled:
+            self._record_replay_metrics(self.metrics, outcome, start)
         if span is not None:
-            tracer.end(span, cache=cache_state, violated=outcome.violated)
+            tracer.end(span, cache=start, violated=outcome.violated)
         return outcome
 
     def _record_replay_metrics(
@@ -812,101 +786,6 @@ class ReplayEngine:
             self._digest_reported = (hits, misses)
         metrics.observe("replay.duration_us", outcome.duration_s * 1e6)
 
-    def _replay_checked(
-        self,
-        interleaving: Interleaving,
-        assertions: Sequence[Assertion] = (),
-    ) -> InterleavingOutcome:
-        if self._checkpoint is None:
-            raise ReplayError("checkpoint() must be called before replay()")
-        # Fault events make a replay impure (crashes lose volatile state,
-        # partitions rewire the network), so fault-bearing interleavings
-        # always replay fresh from the checkpoint — the prefix cache's
-        # purity argument does not extend to them.
-        has_fault = any(event.is_fault for event in interleaving)
-        if self._fault_dirty:
-            self._reset_fault_state()
-        memo = self.state_memo
-        if memo is not None and memo.enabled and not has_fault:
-            # Memo-eligible replays run the digest-capture path (fresh from
-            # the checkpoint, recording the cluster digest at every event
-            # boundary) so the memo table learns this replay's states.
-            # These replays bypass the prefix cache: the memo trades prefix
-            # *restoration* speed for skipping whole replays.
-            self._last_was_cached = False
-            outcome = self._replay_digest(interleaving, memo)
-            for assertion in assertions:
-                message = assertion(outcome)
-                if message is not None:
-                    outcome.violations.append(message)
-            return outcome
-        cached = not has_fault and self.prefix_cache_active()
-        self._last_was_cached = cached
-        if cached:
-            outcome = self._replay_cached(interleaving)
-        else:
-            outcome = self._replay_fresh(interleaving)
-            if has_fault:
-                self._fault_dirty = True
-        if cached and self.sanitizer is not None:
-            self.sanitizer.maybe_check(self, interleaving, outcome)
-        for assertion in assertions:
-            message = assertion(outcome)
-            if message is not None:
-                outcome.violations.append(message)
-        return outcome
-
-    def replay_fresh(
-        self,
-        interleaving: Interleaving,
-        assertions: Sequence[Assertion] = (),
-    ) -> InterleavingOutcome:
-        """A from-scratch replay that bypasses the prefix cache.
-
-        Used by the differential sanitizer as its ground truth: the cluster
-        is restored to the checkpoint and every event re-executes, whatever
-        caches are attached.  Safe to interleave with cached replays — the
-        engine's live-state tracking is invalidated so the next cached
-        replay restores honestly.
-
-        Observed runs emit a ``replay:fresh`` span per call (distinguishing
-        sanitizer ground-truth replays from pipeline replays in traces).
-        """
-        tracer = self.tracer
-        metrics = self.metrics
-        if not (tracer.enabled or metrics.enabled):
-            return self._replay_fresh_checked(interleaving, assertions)
-        span = tracer.begin("replay:fresh") if tracer.enabled else None
-        try:
-            outcome = self._replay_fresh_checked(interleaving, assertions)
-        except BaseException as exc:
-            if span is not None:
-                tracer.end(span, error=type(exc).__name__)
-            raise
-        if metrics.enabled:
-            self._record_replay_metrics(metrics, outcome, "fresh")
-        if span is not None:
-            tracer.end(span, violated=outcome.violated)
-        return outcome
-
-    def _replay_fresh_checked(
-        self,
-        interleaving: Interleaving,
-        assertions: Sequence[Assertion] = (),
-    ) -> InterleavingOutcome:
-        if self._checkpoint is None:
-            raise ReplayError("checkpoint() must be called before replay_fresh()")
-        if self._fault_dirty:
-            self._reset_fault_state()
-        outcome = self._replay_fresh(interleaving)
-        if any(event.is_fault for event in interleaving):
-            self._fault_dirty = True
-        for assertion in assertions:
-            message = assertion(outcome)
-            if message is not None:
-                outcome.violations.append(message)
-        return outcome
-
     def restore(self) -> None:
         """Reset the cluster to the checkpoint (used after the final replay)."""
         if self._checkpoint is not None:
@@ -930,227 +809,167 @@ class ReplayEngine:
         conditions.partitions.update(self._baseline_partitions)
         self._fault_dirty = False
 
-    def _replay_fresh(self, interleaving: Interleaving) -> InterleavingOutcome:
-        transport = self.cluster.transport
-        self.cluster.restore(self._checkpoint)
-        # restore() resets the transport counters to zero, so the baseline
-        # for this replay's delta is taken *after* it.
-        before = transport.stats()
-        self._forget_live_versions()
-        started = time.perf_counter()
-        event_results = self.executor.run(self.cluster, interleaving)
-        duration = time.perf_counter() - started
-        after = transport.stats()
-        self.last_transport_stats = tuple(n - b for n, b in zip(after, before))
-        # restore() cleared the suppressed-send log, so its whole contents
-        # belong to this replay.
-        self.last_suppressed_count = len(self.cluster.suppressed_sends)
-        return InterleavingOutcome(
-            interleaving=interleaving,
-            event_results=event_results,
-            states=self.cluster.states(),
-            violations=[],
-            duration_s=duration,
-        )
+    def _run(
+        self, interleaving: Interleaving, reuse: bool
+    ) -> Tuple[InterleavingOutcome, str]:
+        """The one replay routine: pick a start point, run the suffix loop,
+        finish in one epilogue.  Returns the outcome and how the replay
+        started — ``"hit"``/``"miss"`` from the prefix cache (a cached
+        prefix was or was not found), ``"off"`` from a full restore.
 
-    def _replay_digest(
-        self, interleaving: Interleaving, memo: Any
-    ) -> InterleavingOutcome:
-        """A fresh replay that captures the cluster digest at every event
-        boundary and feeds the bound state-memo pruner.
-
-        The per-boundary digest is a hash DAG: per-replica digests combined
-        with the transport digest, exactly as :meth:`Cluster.state_digest`
-        builds them.  Digesting is incremental on three levels:
-
-        1. *Per-replica caching* — the cluster's opt-in digest cache (armed
-           lazily on the first digest replay) means only the replica an
-           event actually touched pays a canonical walk; the others return
-           their cached digests, so the *observed* write set — which
-           replicas' digests actually changed — stays exact at replica
-           granularity and is reported to ``footprint_observer`` so the
-           DPOR pruner can falsify its static model (sound-or-off).
-        2. *Checkpoint re-priming* — the checkpoint boundary's digests are
-           computed once per checkpoint and re-primed into the host caches
-           after every restore.
-        3. *A transition memo* — ``(combined digest before, event id) ->
-           boundary digests after``.  Minimal-change enumeration revisits
-           the same states through thousands of prefixes, and commuting
-           subject ops make *different* prefixes converge to the same
-           state; both reuse the memoised transition (events still
-           re-execute — only the canonical walks are skipped).  Sound under
-           exactly the assumption the memo pruner itself rests on: a
-           digest identifies the semantic state, and replaying an event
-           from the same semantic state reaches the same semantic state.
-
-        When a ``footprint_observer`` is bound, every 64th replay (and the
-        first) recomputes all digests from scratch and cross-checks the
-        incremental values; a mismatch — a subject mutating outside the
-        invalidation hooks — permanently drops back to exact per-boundary
-        digesting (sound-or-off).
+        Every decision that depends only on the replay (start point, hook,
+        memo mode) is made here once, outside the per-event loop.
         """
-        from repro.statehash import combine_digests, state_digest
-
         cluster = self.cluster
         transport = cluster.transport
-        hosts = cluster._hosts
-        rids = cluster.replica_ids()
-        observer = self.footprint_observer
-        if cluster.digest_cache_enabled != self._digest_exact:
-            if self._digest_exact:
-                # Recording is over once replays start: every mutation from
-                # here flows through the invalidation hooks, so per-replica
-                # digest caching becomes sound to switch on.
-                cluster.enable_digest_cache()
-            else:
-                cluster.digest_cache_enabled = False
-                cluster.invalidate_digests()
-        base = self._checkpoint_digests
-        transitions = self._digest_trie if self._digest_exact else None
-        if base is not None and transitions is not None:
-            # Fast path: when every boundary's transition is already
-            # memoised, the whole digest sequence is determined without a
-            # single canonical walk — and the replay itself can then run
-            # through the prefix cache (same events, same outcome, and the
-            # memo path's full checkpoint restore is skipped too).
-            chain_digests: List[str] = [base[2]]
-            chain_entries: List[Tuple[Dict[str, str], str, str]] = []
-            node = base[2]
-            get_transition = transitions.get
-            complete = True
-            for event in interleaving:
-                entry = get_transition((node, event.event_id))
-                if entry is None:
-                    complete = False
-                    break
-                chain_entries.append(entry)
-                node = entry[1]
-                chain_digests.append(node)
-            if complete and self.prefix_cache_active():
-                cluster.digest_hits += len(chain_entries)
-                outcome = self._replay_cached(interleaving)
-                if observer is not None:
-                    prev = base[0]
-                    for event, entry in zip(interleaving, chain_entries):
-                        entry_rdigests = entry[0]
-                        observer.observe_write_set(
-                            event,
-                            [
-                                rid
-                                for rid, digest in entry_rdigests.items()
-                                if prev[rid] != digest
-                            ],
-                        )
-                        prev = entry_rdigests
-                memo.record_replay(interleaving, outcome, chain_digests)
-                return outcome
-        cluster.restore(self._checkpoint)
-        before = transport.stats()
-        self._forget_live_versions()
+        executor = self.executor
+        sequential = type(executor) is SequentialExecutor
+        events = tuple(interleaving)  # the same object when already a tuple
+        count = len(events)
+        has_fault = any(event.is_fault for event in events)
+        # Fault events make a replay impure (crashes lose volatile state,
+        # partitions rewire the network): fault-bearing interleavings always
+        # start from a full restore and feed no memo.
+        reuse = reuse and sequential and not has_fault
+        memo = self.state_memo if reuse else None
+        if memo is not None and not memo.enabled:
+            memo = None
+        cache = self.prefix_cache if reuse and self.prefix_cache_active() else None
+        chain = None
+        if memo is not None:
+            if cluster.digest_cache_enabled != self._digest_exact:
+                if self._digest_exact:
+                    # Recording is over once replays start: every mutation
+                    # from here flows through the invalidation hooks, so
+                    # per-replica digest caching becomes sound to switch on.
+                    cluster.enable_digest_cache()
+                else:
+                    cluster.digest_cache_enabled = False
+                    cluster.invalidate_digests()
+            # A memo replay starts from the cache only when every boundary's
+            # transition is already memoised (the digest sequence is then
+            # known without a single canonical walk); otherwise it restores
+            # in full and digests each boundary.
+            chain = self._memo_chain(events) if cache is not None else None
+            if chain is None:
+                cache = None
+
+        # -- 1. start point
         started = time.perf_counter()
-        if base is None:
-            rdigests = {rid: cluster.replica_state_digest(rid) for rid in rids}
-            tdigest = cluster.transport_digest()
-            parts = list(rdigests.items())
-            parts.append(("#transport", tdigest))
-            base_combined = combine_digests(parts)
-            if self._digest_exact:
-                self._checkpoint_digests = (dict(rdigests), tdigest, base_combined)
+        hook: Optional[_Hook] = None
+        if cache is not None:
+            depth, results, hook = self._adopt_prefix(cache, events)
+            start = "hit" if depth else "miss"
+            base_stats = cache.baseline
         else:
-            base_rdigests, tdigest, base_combined = base
-            rdigests = dict(base_rdigests)
-            # restore() invalidated every host cache; the checkpoint values
-            # are exactly what a fresh walk would recompute.
-            for rid in rids:
-                hosts[rid].digest_cache = rdigests[rid]
-            cluster._transport_digest_cache = tdigest
+            depth, results, start = 0, [], "off"
+            cluster.restore(self._checkpoint)
+            self._forget_live_versions()
+            # restore() resets the transport counters, so the baseline for
+            # this replay's delta is taken after it.
+            base_stats = transport.stats()
+            if memo is not None:
+                digests: List[str] = []
+                hook, rdigests = self._digest_hook(digests)
+        self._fault_dirty = has_fault  # set before the loop: a timeout leaves it dirty
+        # A full restore clears the suppressed-send log; a cached start does
+        # not, so this replay's share is the delta from here.
+        suppressed_before = len(cluster.suppressed_sends)
 
-        def combined() -> str:
-            parts = list(rdigests.items())
-            parts.append(("#transport", tdigest))
-            return combine_digests(parts)
+        # -- 2. the suffix loop
+        if sequential:
+            hosts = cluster._hosts
+            live = self._live_rdl if cache is not None else None
+            read, sync_req = EventKind.READ, EventKind.SYNC_REQ
+            exec_sync = EventKind.EXEC_SYNC
+            timeout = executor.timeout_s
+            deadline = None if timeout is None else time.monotonic() + timeout
+            append = results.append
+            for position in range(depth, count):
+                if deadline is not None and time.monotonic() > deadline:
+                    raise ReplayTimeout(
+                        f"replay exceeded the {timeout}s watchdog after "
+                        f"{position} of {count} events"
+                    )
+                event = events[position]
+                kind = event.kind
+                if live is not None and kind is not read:
+                    # Copy-on-write: an UPDATE or EXEC_SYNC mutates the
+                    # event's replica, so a state borrowed from a cached
+                    # snapshot is materialised into a private copy first.
+                    # A SYNC_REQ leaves the sender's RDL state untouched (it
+                    # only enqueues a message and bumps sent_syncs) unless
+                    # the subject declares ``mutates_on_push``.
+                    rid = event.replica_id
+                    if kind is not sync_req or getattr(
+                        hosts[rid].rdl, "mutates_on_push", False
+                    ):
+                        snap = live.get(rid)
+                        if snap is not None:
+                            hosts[rid].rdl.restore(snap.data)
+                            hosts[rid].digest_cache = None
+                            live[rid] = None
+                    if kind is sync_req or kind is exec_sync:
+                        self._live_transport = None
+                result = _invoke(cluster, event, position + 1)
+                append(result)
+                if hook is not None:
+                    hook(position, event, result)
+        else:
+            results = executor.run(cluster, interleaving)
 
-        digests: List[str] = [base_combined]
-        results: List[EventResult] = []
-        timeout = getattr(self.executor, "timeout_s", None)
-        deadline = None if timeout is None else time.monotonic() + timeout
-        for lamport, event in enumerate(interleaving, 1):
-            if deadline is not None and time.monotonic() > deadline:
-                raise ReplayTimeout(
-                    f"replay exceeded the {timeout}s watchdog after "
-                    f"{lamport - 1} of {len(interleaving)} events"
-                )
-            results.append(_invoke(cluster, event, lamport))
-            changed: List[str] = []
-            key = (digests[-1], event.event_id)
-            entry = transitions.get(key) if transitions is not None else None
-            if entry is not None:
-                entry_rdigests, combined_digest, tdigest = entry
-                for rid, digest in entry_rdigests.items():
-                    if digest != rdigests[rid]:
-                        rdigests[rid] = digest
-                        changed.append(rid)
-                    # _invoke invalidated the touched replica's host cache;
-                    # by the memo assumption the memoised transition value
-                    # is its current digest.
-                    hosts[rid].digest_cache = digest
-                cluster._transport_digest_cache = tdigest
-                cluster.digest_hits += 1
-                digests.append(combined_digest)
-            else:
-                for rid in rids:
-                    digest = cluster.replica_state_digest(rid)
-                    if digest != rdigests[rid]:
-                        rdigests[rid] = digest
-                        changed.append(rid)
-                if event.is_sync:
-                    tdigest = cluster.transport_digest()
-                combined_digest = combined()
-                digests.append(combined_digest)
-                if transitions is not None:
-                    if len(transitions) >= self._digest_trie_limit:
-                        transitions.clear()
-                    transitions[key] = (dict(rdigests), combined_digest, tdigest)
-            if observer is not None:
-                observer.observe_write_set(event, changed)
-        self._digest_replays += 1
-        if (
-            observer is not None
-            and self._digest_exact
-            and (self._digest_replays == 1 or self._digest_replays % 64 == 0)
-        ):
-            fresh = {
-                rid: state_digest((hosts[rid].up, hosts[rid].rdl.canonical_state()))
-                for rid in rids
-            }
-            if fresh != rdigests:
-                # A subject mutated state some invalidation hook cannot see:
-                # stop trusting every digest cache, permanently.
-                self._digest_exact = False
-                self._checkpoint_digests = None
-                self._digest_trie.clear()
-                cluster.digest_cache_enabled = False
-                cluster.invalidate_digests()
-                if self.metrics.enabled:
-                    self.metrics.inc("digest.verify_failures")
+        # -- 3. epilogue
+        if memo is not None and chain is None:
+            # Before states(): reading a subject's value may touch its state
+            # (Roshi's reads advance its farm bookkeeping), which a scratch
+            # digest would then see.
+            self._verify_digests(rdigests)
+        self.last_transport_stats = tuple(
+            now - base for now, base in zip(transport.stats(), base_stats)
+        )
+        self.last_suppressed_count = len(cluster.suppressed_sends) - suppressed_before
         duration = time.perf_counter() - started
-        after = transport.stats()
-        self.last_transport_stats = tuple(n - b for n, b in zip(after, before))
-        self.last_suppressed_count = len(cluster.suppressed_sends)
+        if cache is None:
+            states: Any = cluster.states()
+        else:
+            cache.stats.entries = len(cache)
+            states = self._state_views()
         outcome = InterleavingOutcome(
             interleaving=interleaving,
             event_results=results,
-            states=cluster.states(),
+            states=states,
             violations=[],
             duration_s=duration,
         )
-        memo.record_replay(interleaving, outcome, digests)
-        return outcome
+        if chain is not None:
+            cluster.digest_hits += count
+            observer = self.footprint_observer
+            if observer is not None:
+                for event, before, after in zip(events, chain, chain[1:]):
+                    observer.observe_write_set(
+                        event, [r for r, d in after[0].items() if before[0][r] != d]
+                    )
+            memo.record_replay(interleaving, outcome, [entry[1] for entry in chain])
+        elif memo is not None:
+            memo.record_replay(interleaving, outcome, digests)
+        return outcome, start
 
-    def _ensure_root(self, cache: PrefixSnapshotCache) -> _RootEntry:
+    # --------------------------------------------------- prefix-cache start
+
+    def _adopt_prefix(
+        self, cache: PrefixSnapshotCache, events: Tuple[Event, ...]
+    ) -> Tuple[int, List[EventResult], Optional[_Hook]]:
+        """Adopt the longest cached proper prefix of ``events``.
+
+        Returns its depth, its event results, and the boundary hook that
+        stores every new proper prefix the suffix loop reaches (None when
+        the cache stores nothing).
+        """
+        cluster = self.cluster
+        count = len(events)
         root = cache.root
         if root is None:
-            cluster = self.cluster
+            # The first cached replay snapshots the checkpoint as the root.
             cluster.restore(self._checkpoint)
             replica_snaps: Dict[str, _ReplicaRecord] = {}
             for rid in cluster.replica_ids():
@@ -1164,23 +983,10 @@ class ReplayEngine:
             # the replay loop materialises a private copy before mutating.
             self._live_rdl = {rid: rec[0] for rid, rec in replica_snaps.items()}
             self._live_transport = transport_snap
-        return root
-
-    def _replay_cached(self, interleaving: Interleaving) -> InterleavingOutcome:
-        cache = self.prefix_cache
-        cluster = self.cluster
-        transport = cluster.transport
-        started = time.perf_counter()
-        events: Tuple[Event, ...] = (
-            interleaving if type(interleaving) is tuple else tuple(interleaving)
-        )
-        count = len(events)
-
-        root = self._ensure_root(cache)
         entry: Any = root
         depth = 0
-        # Longest cached proper prefix of this interleaving: walk the entry
-        # trie forward, one (parent_id, event_id) lookup per matched event.
+        # Walk the entry trie forward, one (parent_id, event_id) lookup per
+        # matched event.
         lookup = cache._entries.get
         limit = count - 1
         while depth < limit:
@@ -1193,38 +999,32 @@ class ReplayEngine:
         # Assemble the matched prefix's state from the entry's parent chain:
         # entries are deltas, so the first record seen per replica walking
         # upward is that replica's newest snapshot (root fills in the rest).
-        live = self._live_rdl
-        hosts = cluster._hosts
-        results: List[EventResult]
-        if entry is root:
-            results = []
-            records = root.replica_snaps
-            tsnap = root.transport_snap
-        else:
-            results = []
-            records = {}
-            tsnap = None
-            node = entry
-            while node is not root:
-                results.append(node.result)
-                nrid = node.rid
-                if nrid is not None and nrid not in records:
-                    records[nrid] = (node.snap, node.applied_syncs, node.sent_syncs)
-                if tsnap is None:
-                    tsnap = node.transport_snap
-                node = node.parent
-            results.reverse()
-            for rid, record in root.replica_snaps.items():
-                if rid not in records:
-                    records[rid] = record
+        results: List[EventResult] = []
+        records: Dict[str, _ReplicaRecord] = {}
+        tsnap = None
+        node = entry
+        while node is not root:
+            results.append(node.result)
+            nrid = node.rid
+            if nrid is not None and nrid not in records:
+                records[nrid] = (node.snap, node.applied_syncs, node.sent_syncs)
             if tsnap is None:
-                tsnap = root.transport_snap
+                tsnap = node.transport_snap
+            node = node.parent
+        results.reverse()
+        for rid, record in root.replica_snaps.items():
+            if rid not in records:
+                records[rid] = record
+        if tsnap is None:
+            tsnap = root.transport_snap
 
         # Restore only what differs from the live state, and even then only
-        # by *adopting* the cached state by reference: the suffix loop below
+        # by *adopting* the cached state by reference: the suffix loop
         # materialises a private copy right before the first mutation of
         # each replica (copy-on-write), so a replay pays at most one state
         # copy per mutating event — and none for replicas it never mutates.
+        live = self._live_rdl
+        hosts = cluster._hosts
         for rid, (snap, applied, sent) in records.items():
             host = hosts[rid]
             if live.get(rid) is not snap:
@@ -1236,7 +1036,7 @@ class ReplayEngine:
             host.applied_syncs = applied
             host.sent_syncs = sent
         if self._live_transport is not tsnap:
-            transport.restore_snapshot(tsnap.data)
+            cluster.transport.restore_snapshot(tsnap.data)
             self._live_transport = tsnap
             cluster._transport_digest_cache = None
 
@@ -1246,56 +1046,40 @@ class ReplayEngine:
             stats.hits += 1
         stats.events_reused += depth
         stats.events_executed += count - depth
+        if cache.max_entries == 0:
+            return depth, results, None
+        return depth, results, self._store_hook(cache, entry, limit)
 
-        cur_entry = entry
-        suppressed_before = len(cluster.suppressed_sends)
-        caching = cache.max_entries > 0
-        kind_read = EventKind.READ
-        kind_sync_req = EventKind.SYNC_REQ
-        kind_exec_sync = EventKind.EXEC_SYNC
-        append_result = results.append
+    def _store_hook(self, cache: PrefixSnapshotCache, entry: Any, limit: int) -> _Hook:
+        """The cached start's boundary hook: store the prefix ending at each
+        executed event as a child of the previous one.
+
+        No lookup is needed before storing: the trie walk ended on a missing
+        link, so no deeper node exists along this path, and every later
+        parent id is freshly minted.
+        """
+        hosts = self.cluster._hosts
+        transport = self.cluster.transport
+        live = self._live_rdl
         make_snap = cache.make_snap
-        put = cache.put
-        entries_dict = cache._entries
+        next_id = cache.next_id
+        entries = cache._entries
         metered = cache.meter is not None
         max_entries = cache.max_entries
-        for position in range(depth, count):
-            event = events[position]
+        read, sync_req = EventKind.READ, EventKind.SYNC_REQ
+        exec_sync = EventKind.EXEC_SYNC
+
+        def store(position: int, event: Event, result: EventResult) -> None:
+            nonlocal entry
+            if position >= limit:
+                return  # the whole interleaving is never a *proper* prefix
+            key = (entry.entry_id, event.event_id)
             kind = event.kind
-            is_sync = False
-            if kind is kind_read:
-                mutating = False
+            if kind is read:
+                entry = _CacheEntry(
+                    next_id(), key, entry, result, None, None, 0, 0, None
+                )
             else:
-                mutating = True
-                # UPDATE and EXEC_SYNC mutate the event's replica: if its
-                # live state is borrowed from a cached snapshot, materialise
-                # a private copy first.  SYNC_REQ leaves the sender's RDL
-                # state untouched (it only enqueues a message and bumps
-                # sent_syncs), so the sender's snap stays live and new
-                # entries share it for free — unless the subject declares
-                # ``mutates_on_push`` (shipping a payload advances durable
-                # bookkeeping), in which case the sender materialises too.
-                if kind is not kind_sync_req or getattr(
-                    hosts[event.replica_id].rdl, "mutates_on_push", False
-                ):
-                    rid = event.replica_id
-                    snap = live.get(rid)
-                    if snap is not None:
-                        hosts[rid].rdl.restore(snap.data)
-                        hosts[rid].digest_cache = None
-                        live[rid] = None
-                is_sync = kind is kind_sync_req or kind is kind_exec_sync
-                if is_sync:
-                    self._live_transport = None
-            result = _invoke(cluster, event, position + 1)
-            append_result(result)
-            if not caching or position >= limit:
-                continue  # depth == count is never a *proper* prefix
-            # No lookup needed before storing: the forward walk above ended
-            # on a missing link, so no deeper node exists along this path,
-            # and every subsequent parent id is freshly minted.
-            key = (cur_entry.entry_id, event.event_id)
-            if mutating:
                 rid = event.replica_id
                 host = hosts[rid]
                 snap = live.get(rid)
@@ -1305,63 +1089,178 @@ class ReplayEngine:
                     snap = make_snap(host.rdl.state_view())
                     live[rid] = snap
                 tsnap = None
-                if is_sync:
+                if kind is sync_req or kind is exec_sync:
                     tsnap = self._live_transport
                     if tsnap is None:
                         tsnap = make_snap(transport.snapshot())
                         self._live_transport = tsnap
-                cur_entry = _CacheEntry(
-                    cache.next_id(),
-                    key,
-                    cur_entry,
-                    result,
-                    rid,
-                    snap,
-                    host.applied_syncs,
-                    host.sent_syncs,
-                    tsnap,
-                )
-            else:
-                cur_entry = _CacheEntry(
-                    cache.next_id(), key, cur_entry, result, None, None, 0, 0, None
+                entry = _CacheEntry(
+                    next_id(), key, entry, result, rid, snap,
+                    host.applied_syncs, host.sent_syncs, tsnap,
                 )
             # Unmetered inserts into a non-full cache skip put()'s charging
-            # and eviction machinery; stats.entries is reconciled below.
-            if metered or len(entries_dict) >= max_entries:
-                put(cur_entry)
+            # and eviction machinery; stats.entries is reconciled after the
+            # loop.
+            if metered or len(entries) >= max_entries:
+                cache.put(entry)
             else:
-                entries_dict[key] = cur_entry
-        if caching:
-            stats.entries = len(entries_dict)
+                entries[key] = entry
 
-        # Cached replays never call restore(), so the suppressed-send log
-        # persists across them; this replay's share is the suffix delta.
-        self.last_suppressed_count = len(cluster.suppressed_sends) - suppressed_before
-        base_sent, base_dropped, base_delivered, base_duplicated = cache.baseline
-        self.last_transport_stats = (
-            transport.sent_count - base_sent,
-            transport.dropped_count - base_dropped,
-            transport.delivered_count - base_delivered,
-            transport.duplicated_count - base_duplicated,
-        )
-        duration = time.perf_counter() - started
-        # Final states are captured as copy-on-write views and evaluated
-        # lazily: the views' containers are never mutated in place again
-        # (every later mutation materialises fresh containers first), so
-        # the thunk reads stable data whenever an assertion asks.  A replica
-        # whose live state is borrowed already has a stable view — its snap.
+        return store
+
+    def _state_views(self) -> Callable[[], Dict[str, Any]]:
+        """Final states after a cached start: a lazy thunk over copy-on-write
+        views.  The views' containers are never mutated in place again
+        (every later mutation materialises fresh containers first), so the
+        thunk reads stable data whenever an assertion asks.  A replica whose
+        live state is borrowed already has a stable view — its snap.  The
+        thunk rebuilds a throwaway shell of each replica class around its
+        view and asks it for ``value()``, read-only by the host protocol.
+        """
+        live = self._live_rdl
         views = {}
-        for rid, host in hosts.items():
-            rdl = host.rdl
+        for rid, host in self.cluster._hosts.items():
             snap = live.get(rid)
-            views[rid] = (
-                type(rdl),
-                snap.data if snap is not None else rdl.state_view(),
-            )
-        return InterleavingOutcome(
-            interleaving=interleaving,
-            event_results=results,
-            states=lambda: _states_from_views(views),
-            violations=[],
-            duration_s=duration,
-        )
+            view = snap.data if snap is not None else host.rdl.state_view()
+            views[rid] = (type(host.rdl), view)
+
+        def states() -> Dict[str, Any]:
+            out = {}
+            for rid, (cls, view) in views.items():
+                shim = cls.__new__(cls)
+                shim.__dict__.update(view)
+                out[rid] = shim.value()
+            return out
+
+        return states
+
+    # ----------------------------------------------------- memo digest hooks
+
+    def _memo_chain(
+        self, events: Tuple[Event, ...]
+    ) -> Optional[List[Tuple[Dict[str, str], str, str]]]:
+        """The checkpoint boundary followed by every event's memoised
+        transition, or None when any boundary is not memoised yet."""
+        base = self._checkpoint_digests
+        if base is None or not self._digest_exact:
+            return None
+        chain = [base]
+        node = base[1]
+        get_transition = self._digest_trie.get
+        for event in events:
+            entry = get_transition((node, event.event_id))
+            if entry is None:
+                return None
+            chain.append(entry)
+            node = entry[1]
+        return chain
+
+    def _digest_hook(self, digests: List[str]) -> Tuple[_Hook, Dict[str, str]]:
+        """Set up digesting after a full restore; return the boundary hook
+        and the per-replica digests it keeps current.
+
+        ``digests`` receives the combined digest (per-replica digests plus
+        the transport's, as :meth:`Cluster.state_digest` builds it) of every
+        boundary, ``digests[0]`` being the checkpoint's.  It is incremental:
+        the cluster's digest cache makes only the replica an event touched
+        pay a canonical walk, so the observed write set — which replicas'
+        digests changed — is exact and goes to ``footprint_observer`` (DPOR
+        falsifies its static model with it); the checkpoint's digests are
+        computed once per checkpoint and re-primed after every restore; and
+        a transition memo, ``(digest before, event id) -> digests after``,
+        skips the walks when enumeration revisits a state (events still
+        re-execute).  That memo rests on the memo pruner's own assumption:
+        the same event from the same semantic state reaches the same state.
+        """
+        from repro.statehash import combine_digests
+
+        cluster = self.cluster
+        hosts = cluster._hosts
+        rids = cluster.replica_ids()
+        base = self._checkpoint_digests
+        if base is None:
+            rdigests = {rid: cluster.replica_state_digest(rid) for rid in rids}
+            tdigest = cluster.transport_digest()
+            combined = combine_digests([*rdigests.items(), ("#transport", tdigest)])
+            if self._digest_exact:
+                self._checkpoint_digests = (dict(rdigests), combined, tdigest)
+        else:
+            rdigests = dict(base[0])
+            combined, tdigest = base[1], base[2]
+            # restore() invalidated every host cache; the checkpoint values
+            # are exactly what a fresh walk would recompute.
+            for rid in rids:
+                hosts[rid].digest_cache = rdigests[rid]
+            cluster._transport_digest_cache = tdigest
+        digests.append(combined)
+        transitions = self._digest_trie if self._digest_exact else None
+        observer = self.footprint_observer
+
+        def digest(position: int, event: Event, result: EventResult) -> None:
+            nonlocal tdigest
+            changed: List[str] = []
+            key = (digests[-1], event.event_id)
+            entry = transitions.get(key) if transitions is not None else None
+            if entry is not None:
+                entry_rdigests, combined_digest, tdigest = entry
+                for rid, value in entry_rdigests.items():
+                    if value != rdigests[rid]:
+                        rdigests[rid] = value
+                        changed.append(rid)
+                    # _invoke invalidated the touched replica's host cache;
+                    # by the memo assumption the memoised transition value
+                    # is its current digest.
+                    hosts[rid].digest_cache = value
+                cluster._transport_digest_cache = tdigest
+                cluster.digest_hits += 1
+            else:
+                for rid in rids:
+                    value = cluster.replica_state_digest(rid)
+                    if value != rdigests[rid]:
+                        rdigests[rid] = value
+                        changed.append(rid)
+                if event.is_sync:
+                    tdigest = cluster.transport_digest()
+                combined_digest = combine_digests(
+                    [*rdigests.items(), ("#transport", tdigest)]
+                )
+                if transitions is not None:
+                    if len(transitions) >= self._digest_trie_limit:
+                        transitions.clear()
+                    transitions[key] = (dict(rdigests), combined_digest, tdigest)
+            digests.append(combined_digest)
+            if observer is not None:
+                observer.observe_write_set(event, changed)
+
+        return digest, rdigests
+
+    def _verify_digests(self, rdigests: Dict[str, str]) -> None:
+        """Sampled cross-check of a memo replay's incremental digests.
+
+        When a ``footprint_observer`` is bound, the first digest replay and
+        every 64th recompute all digests from scratch; a mismatch — a
+        subject mutating outside the invalidation hooks — permanently drops
+        back to exact per-boundary digesting (sound-or-off).
+        """
+        from repro.statehash import state_digest
+
+        self._digest_replays += 1
+        replays = self._digest_replays
+        if self.footprint_observer is None or not self._digest_exact:
+            return
+        if replays != 1 and replays % 64:
+            return
+        fresh = {
+            rid: state_digest((host.up, host.rdl.canonical_state()))
+            for rid, host in self.cluster._hosts.items()
+        }
+        if fresh != rdigests:
+            # A subject mutated state some invalidation hook cannot see:
+            # stop trusting every digest cache, permanently.
+            self._digest_exact = False
+            self._checkpoint_digests = None
+            self._digest_trie.clear()
+            self.cluster.digest_cache_enabled = False
+            self.cluster.invalidate_digests()
+            if self.metrics.enabled:
+                self.metrics.inc("digest.verify_failures")
