@@ -277,14 +277,6 @@ class CoordinatedHuntExplorer(ProcessParallelExplorer):
             ledger.next_index += 1
             if metrics.enabled:
                 metrics.inc("coordinator.commits.resumed")
-            if verdict == "pruned":
-                # A memo hit committed by the previous incarnation: it
-                # consumed a candidate index but was never explored.
-                ledger.pruned += 1
-                if metrics.enabled:
-                    metrics.inc("interleavings.pruned")
-                    metrics.inc("pruned.state_memo")
-                continue
             ledger.verdicts[il_key] = verdict
             ledger.explored += 1
             event_ids = tuple(il_key.split("|")) if il_key else ()
@@ -446,7 +438,7 @@ class CoordinatedHuntExplorer(ProcessParallelExplorer):
     ) -> ExplorationResult:
         journal = self.journal
         if journal is not None:
-            self._checkpoint(ledger.explored + ledger.pruned)  # compact the tail
+            self._checkpoint(ledger.explored)  # compact the tail
             journal.final(
                 found=ledger.violating is not None,
                 explored=ledger.explored,

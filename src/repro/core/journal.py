@@ -9,9 +9,10 @@ is JSONL, one record per line:
   mode, seed, cap, workers, fault/cache flags, watchdog, budget).  Always
   the first line; ``--resume`` refuses a hunt whose identity differs.
 * ``commit``  — one committed verdict, in global candidate order: index,
-  verdict (``ok`` / ``violation`` / ``quarantine``), the interleaving key,
-  and for violations the assertion messages (so a resumed hunt can report
-  the violation without re-replaying it).
+  verdict (``ok`` / ``violation`` / ``quarantine``; older builds also wrote
+  ``pruned`` for a pool memo hit, which loads as ``ok``), the interleaving
+  key, and for violations the assertion messages (so a resumed hunt can
+  report the violation without re-replaying it).
 * ``lease``   — the worker-slot incarnation log: acquired / expired /
   re-leased / stolen / quarantined, with the slot and attempt number.
 * ``checkpoint`` — a durability barrier: all records up to it have been
@@ -246,6 +247,11 @@ class HuntJournal:
                     f"{self.path}: commit records are not a contiguous prefix "
                     f"(record {position} has index {record.get('index')!r})"
                 )
+            if record.get("verdict") == "pruned":
+                # Older builds journaled a pool memo hit as ``pruned``.  Its
+                # stitched outcome passed every assertion, so it reads back
+                # as the ``ok`` this build commits for it.
+                record["verdict"] = "ok"
         return commits
 
     @property

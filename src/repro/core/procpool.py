@@ -161,7 +161,9 @@ def _stream_width(explorer: Explorer) -> int:
 
 #: Verdict kind codes for columnar frames.  Codes below ``_KIND_VIOLATION``
 #: are fully described by (index, kind, event positions); codes at or above
-#: it carry exactly one entry in the frame's ``other`` list.
+#: it carry exactly one entry in the frame's ``other`` list.  Workers no
+#: longer send ``_KIND_PRUNED`` (a memo hit ships as ``_KIND_OK``); the
+#: code stays reserved so the frame format is unchanged.
 _KIND_OK = 0
 _KIND_PRUNED = 1
 _KIND_VIOLATION = 2
@@ -463,11 +465,16 @@ def _run_worker(runtime: _WorkerRuntime, config: _WorkerConfig,
                 continue
             if runtime.memo is not None and runtime.memo.is_redundant(interleaving):
                 # Replay-time memo hit on an owned candidate: the stitched
-                # outcome was clean, so ship a "pruned" verdict instead of
-                # re-replaying.  (Stream-time pruning would shift candidate
-                # indices, which must stay identical across workers.)
-                record(index, _KIND_PRUNED,
+                # outcome passed every assertion, so it is this candidate's
+                # ok verdict without the replay.  It commits as an ordinary
+                # ok, so what each worker-local memo happened to learn never
+                # shows in the verdict map.  (Stream-time pruning would shift
+                # candidate indices, which must stay identical across
+                # workers.)
+                record(index, _KIND_OK,
                        [eidx[event.event_id] for event in interleaving])
+                if engine.metrics.enabled:
+                    engine.metrics.inc("replay.memo_hits")
                 continue
             if throttle_s is not None:
                 time.sleep(throttle_s)
@@ -582,9 +589,6 @@ class _Ledger:
     quarantined: List[QuarantinedReplay] = field(default_factory=list)
     violating: Optional[InterleavingOutcome] = None
     explored: int = 0
-    #: Replay-time memo hits committed as prunes: they consume a candidate
-    #: index but are never explored.
-    pruned: int = 0
     #: Candidate indices below this are committed (the watermark).
     next_index: int = 0
 
@@ -879,17 +883,7 @@ class ProcessParallelExplorer:
                         crash_reason = payload
                         done = True
                         break
-                    if kind == "pruned":
-                        # A worker's replay-time memo hit: counted exactly
-                        # like a stream-time prune (not explored, no verdict
-                        # entry — matching a serial hunt, where the pipeline
-                        # drops the candidate before it is ever yielded).
-                        ledger.pruned += 1
-                        self._on_commit(index, "pruned", "|".join(payload))
-                        if metrics.enabled:
-                            metrics.inc("interleavings.pruned")
-                            metrics.inc("pruned.state_memo")
-                    elif kind == "quarantine":
+                    if kind == "quarantine":
                         ledger.explored += 1
                         il_key = "|".join(payload.interleaving)
                         ledger.quarantined.append(payload)
@@ -972,11 +966,7 @@ class ProcessParallelExplorer:
         finally:
             self._shutdown(drain_finals=finals)
             if metrics.enabled:
-                # Committed = explored + parent-side prunes: both consume a
-                # candidate index, so both come out of the discard residue.
-                self._merge_metrics(
-                    metrics, finals, ledger.explored + ledger.pruned
-                )
+                self._merge_metrics(metrics, finals, ledger.explored)
             self.base._finish_observation(
                 engine, root, ledger.explored, mode=self.mode
             )
@@ -1003,10 +993,6 @@ class ProcessParallelExplorer:
     ) -> ExplorationResult:
         canonical = self._canonical_flush(finals)
         pruning_stats = dict(canonical["pruning_stats"]) if canonical else {}
-        if ledger.pruned:
-            pruning_stats["state_memo"] = (
-                pruning_stats.get("state_memo", 0) + ledger.pruned
-            )
         return ExplorationResult(
             mode=self.mode,
             found=ledger.violating is not None,

@@ -90,7 +90,12 @@ class RDLReplica(abc.ABC):
         must behave identically under every future event sequence —
         include *everything* that influences behaviour (volatile and
         durable data, clocks, arrival orders), and nothing that does not
-        (caches that are recomputed, debug counters).
+        (caches that are recomputed, debug counters).  In practice it
+        covers what ``checkpoint``/``restore`` round-trip plus liveness,
+        and never object identity (locks, functions, anything whose
+        ``repr`` carries an address — the digest refuses those) or
+        counters that grow with every call, which would keep two equal
+        states from ever digesting the same.
 
         The default returns ``None``, which disables semantic pruning for
         clusters containing this subject — sound-or-off, like the prefix

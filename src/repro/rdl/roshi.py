@@ -252,11 +252,11 @@ class RoshiReplica(RDLReplica):
         self._arrival = {key: list(order) for key, order in snapshot["arrival"].items()}
 
     def canonical_state(self) -> Any:
-        """Everything that influences behaviour: the farm contents plus the
-        volatile arrival/last-op bookkeeping (both leak into responses under
-        the tie-break and select-order defects)."""
+        """Everything that influences behaviour: the farm's data and
+        liveness plus the volatile arrival/last-op bookkeeping (both leak
+        into responses under the tie-break and select-order defects)."""
         return {
-            "farm": self.farm,
+            "farm": self.farm.canonical_state(),
             "keys": self._keys,
             "last_op": self._last_op,
             "arrival": self._arrival,

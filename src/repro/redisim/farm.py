@@ -60,6 +60,10 @@ class RedisimFarm:
             if not instance.is_down:
                 instance.flushall()
 
+    def canonical_state(self) -> List[dict]:
+        """Every instance's :meth:`RedisimServer.canonical_state`, in order."""
+        return [instance.canonical_state() for instance in self.instances]
+
     def snapshot(self) -> List[dict]:
         return [instance.snapshot() for instance in self.instances]
 

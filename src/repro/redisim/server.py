@@ -263,6 +263,19 @@ class RedisimServer:
             }
             self._expiry = dict(snapshot["expiry"])
 
+    def canonical_state(self) -> Dict[str, Any]:
+        """What this instance's future replies depend on, read-only: the
+        down flag plus what :meth:`snapshot` round-trips (the data, each
+        sorted set as its member -> score map, and the expiry map).  The
+        name, the clock, the mutex and the command counter are left out."""
+        with self._mutex:
+            data = {
+                key: ("zset", value.canonical_state())
+                if isinstance(value, SortedSet) else value
+                for key, value in self._data.items()
+            }
+            return {"down": self._down, "data": data, "expiry": self._expiry}
+
     # ------------------------------------------------------------ internal
 
     def _guard(self) -> "threading.RLock":

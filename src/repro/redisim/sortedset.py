@@ -83,6 +83,11 @@ class SortedSet:
     def members(self) -> Iterable[str]:
         return list(self._scores)
 
+    def canonical_state(self) -> Dict[str, float]:
+        """The set's whole content, read-only: its member -> score map (the
+        rank order is derived from it)."""
+        return self._scores
+
     def copy(self) -> "SortedSet":
         out = SortedSet()
         out._scores = dict(self._scores)

@@ -7,7 +7,8 @@ replay results by the *state* a prefix reaches, so it needs a digest that is
   of dict insertion order, set iteration order, or object identity;
 * **deterministic** — stable across processes (no ``id()``, no ``hash()``
   randomisation), so worker-local memo tables in the multiprocess backend
-  agree with the serial engine;
+  agree with the serial engine; a value whose ``repr()`` fallback carries
+  an object address raises :class:`TypeError` instead;
 * **total** — every value a subject's ``canonical_state()`` can return is
   hashable, including plain objects (CRDT structures, Lamport clocks),
   which are canonicalised through ``__dict__``/``__slots__``.
@@ -21,6 +22,7 @@ of the whole state.
 from __future__ import annotations
 
 import hashlib
+from enum import Enum
 from typing import Any, List
 
 __all__ = ["canonical_repr", "state_digest", "combine_digests"]
@@ -96,6 +98,11 @@ def _write(value: Any, parts: List[str], stack: set) -> None:
         if isinstance(value, (bytearray, memoryview)):
             parts.append(repr(bytes(value)))
             return
+        if isinstance(value, Enum):
+            # A member's __dict__ reaches its class, whose repr carries
+            # function addresses; the member's own repr is stable.
+            parts.append(repr(value))
+            return
         # Plain objects (CRDT structures, clocks, stamps): hash the type
         # name plus the attribute dict, recursing into values.  Named
         # tuples already matched the tuple branch above.
@@ -115,8 +122,16 @@ def _write(value: Any, parts: List[str], stack: set) -> None:
             _write(slots, parts, stack)
             parts.append(">")
             return
-        # Enums, and anything else with a stable repr.
-        parts.append(repr(value))
+        # Anything else with a stable repr.  A repr carrying an object
+        # address (locks, builtin methods, default object reprs) would make
+        # the digest differ between two equal states, so it is refused.
+        text = repr(value)
+        if " at 0x" in text:
+            raise TypeError(
+                f"cannot digest {type(value).__name__}: its repr carries an "
+                f"object address ({text})"
+            )
+        parts.append(text)
     finally:
         stack.discard(oid)
 

@@ -30,11 +30,6 @@ from repro.rdl.crdts_lib import CRDTLibrary
 TABLE1_NAMES = [sc.name for sc in all_scenarios()]
 CR_NAMES = fault_scenario_names()
 
-#: Roshi's canonical state includes its redisim farm's bookkeeping, which
-#: reading the final states advances, so a scratch digest taken after the
-#: replay is not comparable with the memo's last boundary digest.
-SCRATCH_DIGEST_UNSTABLE = ("Roshi-1", "Roshi-2", "Roshi-3", "Roshi-CR", "Roshi-CR2")
-
 #: fresh, cached, memo without cache, memo with cache.
 MODES = (
     (False, False),
@@ -96,14 +91,13 @@ def observe(name, candidates, cache, memo):
                 engine.last_suppressed_count,
             )
         )
-    if name not in SCRATCH_DIGEST_UNSTABLE:
-        # Whether captured boundary by boundary or read off the memoised
-        # chain, every boundary digest the memo learns is the digest of the
-        # state a fresh replay of that prefix reaches (sampled).
-        for interleaving, digests in memo_digests[::5]:
-            for split, digest in enumerate(digests):
-                engine.replay_fresh(interleaving[:split])
-                assert digest == scratch_digest(engine.cluster), (interleaving, split)
+    # Whether captured boundary by boundary or read off the memoised chain,
+    # every boundary digest the memo learns is the digest of the state a
+    # fresh replay of that prefix reaches (sampled).
+    for interleaving, digests in memo_digests[::5]:
+        for split, digest in enumerate(digests):
+            engine.replay_fresh(interleaving[:split])
+            assert digest == scratch_digest(engine.cluster), (interleaving, split)
     return observed, engine
 
 
@@ -214,16 +208,14 @@ def test_cache_metrics_count_cached_memo_replays():
     assert metrics.counter("replay.fresh") == result.explored - stats.replays
 
 
-#: Roshi-1's fixed build fails the cross-check on its own (its first memo
-#: replay already disagrees), so it is not listed.
 @pytest.mark.parametrize(
-    "name", ["Roshi-2", "Roshi-3", "OrbitDB-2", "ReplicaDB-1", "Yorkie-1"]
+    "name", ["Roshi-1", "Roshi-2", "Roshi-3", "OrbitDB-2", "ReplicaDB-1", "Yorkie-1"]
 )
 def test_sampled_digest_verification_passes(name):
     # The cross-check recomputes digests from scratch on the state the
-    # replay left; reading final states first (Roshi's reads advance its
-    # farm bookkeeping) would fail it and turn incremental digesting off
-    # for the rest of the hunt.
+    # replay left, before the final states are read (a Roshi read can
+    # read-repair its farm); a mismatch would turn incremental digesting
+    # off for the rest of the hunt.
     metrics = MetricsRegistry()
     hunt(
         record_scenario(scenario(name), fixed=True), "erpi", cap=70,
